@@ -584,10 +584,12 @@ def treecode_velocity_field(ens, scores, spec, params):
     """Treecode evaluation of U_i = -sum_j w_j A(v_i - v_j)[F_i - F_j].
 
     Charge channels are {w_j} and {w_j F_j,s}; the independent components of A
-    share one tree and one traversal. theta = 0 routes to the direct engine
-    (no expansion can be admitted), giving bit-identical results.
+    share one tree and one traversal. theta = 0 (no expansion can be admitted)
+    and gamma = 0 (the direct engine sums the polynomial kernel exactly in
+    O(N) through global moments) route to the direct engine, giving
+    bit-identical results.
     """
-    if params.theta == 0.0:
+    if params.theta == 0.0 or spec.gamma == 0.0:
         return velocity_field_direct(ens, scores, spec)
     f = np.asarray(scores, dtype=float)
     dim = ens.dim

@@ -1,5 +1,7 @@
 """Ensemble initialization, grid sums, score field, direct velocities."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from landau_particles import (
     score_field,
     velocity_field_direct,
 )
+from landau_particles.particles import PAIR_TILE
 
 from helpers import naive_velocity_field
 
@@ -237,19 +240,58 @@ def test_velocity_field_matches_naive_double_loop():
         assert np.allclose(fast, naive, rtol=1e-12, atol=1e-14)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("gamma", [-3.0, -2.0, -1.0, 1.0])
+def test_velocity_field_tiled_matches_naive(dim, gamma):
+    # three tiles, the last one partial, so off-diagonal tile pairs and their
+    # transposed contributions are exercised; the coincident pairs (sub-floor,
+    # A = 0) straddle the first tile boundary and join the first and last tile
+    rng = np.random.default_rng(100 + dim * 10 + int(gamma))
+    n = 2 * PAIR_TILE + 37
+    v = rng.normal(size=(n, dim))
+    v[PAIR_TILE] = v[PAIR_TILE - 1]
+    v[n - 1] = v[0]
+    w = rng.uniform(0.2, 1.0, size=n) / n
+    f = rng.normal(size=(n, dim))
+    spec = CollisionKernelSpec(gamma=gamma, prefactor=0.21, dim=dim)
+    fast = velocity_field_direct(ParticleEnsemble(v, w), f, spec)
+    naive = naive_velocity_field(v, w, f, gamma, spec.prefactor)
+    assert np.allclose(fast, naive, rtol=1e-12, atol=1e-14)
+
+
 @pytest.mark.parametrize("dim,gamma", [(2, 0.0), (2, -3.0), (3, 0.0), (3, -3.0)])
 def test_velocity_field_conservation_identities(dim, gamma):
-    # momentum rate sum w_i U_i = 0 and energy rate sum w_i v_i . U_i = 0
+    # momentum rate sum w_i U_i = 0 and energy rate sum w_i v_i . U_i = 0;
+    # n = 700 spans several pair tiles
     rng = np.random.default_rng(dim * 10 + int(gamma))
     spec = CollisionKernelSpec(gamma=gamma, prefactor=1.0 / 16.0, dim=dim)
-    ens = random_ensemble(rng, 150, dim)
-    f = rng.normal(size=(150, dim))
-    u = velocity_field_direct(ens, f, spec)
-    scale = float(np.sum(ens.weights * np.linalg.norm(u, axis=1)))
-    mom_rate = ens.weights @ u
-    energy_rate = float(np.sum(ens.weights * np.einsum("id,id->i", ens.velocities, u)))
-    assert np.all(np.abs(mom_rate) <= 1e-12 * scale)
-    assert abs(energy_rate) <= 1e-11 * scale * np.max(np.abs(ens.velocities))
+    for n in (150, 700):
+        ens = random_ensemble(rng, n, dim)
+        f = rng.normal(size=(n, dim))
+        u = velocity_field_direct(ens, f, spec)
+        # reruns are bit-identical (fixed summation order)
+        assert np.array_equal(u, velocity_field_direct(ens, f, spec))
+        scale = float(np.sum(ens.weights * np.linalg.norm(u, axis=1)))
+        mom_rate = ens.weights @ u
+        energy_rate = float(np.sum(ens.weights * np.einsum("id,id->i", ens.velocities, u)))
+        assert np.all(np.abs(mom_rate) <= 1e-12 * scale)
+        assert abs(energy_rate) <= 1e-11 * scale * np.max(np.abs(ens.velocities))
+
+
+def test_velocity_field_direct_memory_bounded():
+    # the pair sweep's temporaries are O(PAIR_TILE^2), not O(N^2 d)
+    rng = np.random.default_rng(41)
+    n = 6000
+    spec = CollisionKernelSpec(gamma=-3.0, prefactor=1.0 / (4.0 * np.pi), dim=3)
+    ens = random_ensemble(rng, n, 3)
+    f = rng.normal(size=(n, 3))
+    tracemalloc.start()
+    try:
+        velocity_field_direct(ens, f, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_velocity_field_maxwellian_stationarity_refines():

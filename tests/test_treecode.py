@@ -351,8 +351,8 @@ def test_treecode_velocity_matches_direct(gamma):
     rel_l2 = np.linalg.norm(tc - direct) / np.linalg.norm(direct)
     assert rel_l2 < 1e-3
     if gamma == 0.0:
-        # polynomial kernel: order-6 expansion is exact to rounding
-        assert rel_l2 < 1e-12
+        # polynomial kernel: routed to the direct engine's exact moment path
+        assert np.array_equal(tc, direct)
 
 
 def test_treecode_velocity_momentum_bound():
