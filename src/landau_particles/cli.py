@@ -1,6 +1,7 @@
 """Command-line entry points: run, convergence, treecode-bench, validate."""
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -191,13 +192,18 @@ def bench_instance(n_side, seed, dim=3):
     return ParticleEnsemble(v, w), f
 
 
+# Minimum span of calls behind each treecode_bench timing (see _min_time).
+MIN_TIMING_S = 2.0
+
+
 def treecode_bench(n_list, theta, order, leaf_capacity, repeats=2, seed=0, gamma=-3.0):
     """Time the velocity-field evaluation per engine on synthetic instances.
 
     This is the engine-differing cost of one collision step (the pairwise
-    kernel summation); timings are min-of-repeats. Returns one row per
-    resolution with times, the per-target sums' relative L2 deviation, and
-    consecutive-size time ratios.
+    kernel summation); each timing is the minimum over at least `repeats`
+    calls and at least MIN_TIMING_S seconds of calls (see _min_time).
+    Returns one row per resolution with times, the per-target sums' relative
+    L2 deviation, and consecutive-size time ratios.
     """
     spec = CollisionKernelSpec(
         gamma=gamma,
@@ -208,14 +214,8 @@ def treecode_bench(n_list, theta, order, leaf_capacity, repeats=2, seed=0, gamma
     rows = []
     for n_side in n_list:
         ens, f = bench_instance(n_side, seed)
-        t_direct, u_direct = None, None
-        for _ in range(repeats):
-            t, u_direct = _timed(velocity_field_direct, ens, f, spec)
-            t_direct = t if t_direct is None else min(t_direct, t)
-        t_tree, u_tree = None, None
-        for _ in range(repeats):
-            t, u_tree = _timed(treecode_velocity_field, ens, f, spec, params)
-            t_tree = t if t_tree is None else min(t_tree, t)
+        t_direct, u_direct = _min_time(velocity_field_direct, (ens, f, spec), repeats)
+        t_tree, u_tree = _min_time(treecode_velocity_field, (ens, f, spec, params), repeats)
         rel = float(np.linalg.norm(u_tree - u_direct) / np.linalg.norm(u_direct))
         rows.append({
             "n_side": n_side, "n_particles": ens.size,
@@ -227,10 +227,24 @@ def treecode_bench(n_list, theta, order, leaf_capacity, repeats=2, seed=0, gamma
     return rows
 
 
-def _timed(fn, *args):
-    t0 = time.perf_counter()
-    out = fn(*args)
-    return time.perf_counter() - t0, out
+def _min_time(fn, args, repeats):
+    """Minimum wall time of fn(*args) and its result.
+
+    Calls fn at least `repeats` times and until MIN_TIMING_S seconds of calls
+    have been spent. On a shared host the load changes within seconds, so two
+    sub-second calls can both fall in a slow stretch while the next size's
+    calls fall in a fast one; sampling every evaluation for the same minimum
+    span keeps the consecutive-size ratios from hinging on that. Evaluations
+    that take MIN_TIMING_S / repeats or longer are timed exactly `repeats`
+    times.
+    """
+    best, spent, calls = math.inf, 0.0, 0
+    while calls < repeats or spent < MIN_TIMING_S:
+        t0 = time.perf_counter()
+        out = fn(*args)
+        t = time.perf_counter() - t0
+        best, spent, calls = min(best, t), spent + t, calls + 1
+    return best, out
 
 
 def cmd_treecode_bench(args):
@@ -430,7 +444,8 @@ def main(argv=None):
     p_bench.add_argument("--theta", type=float, default=0.5)
     p_bench.add_argument("--order", type=int, default=6)
     p_bench.add_argument("--leaf-capacity", type=int, default=64)
-    p_bench.add_argument("--repeats", type=int, default=2)
+    p_bench.add_argument("--repeats", type=int, default=2,
+                         help="minimum timed calls per engine and size")
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--out", default=None)
     p_bench.set_defaults(func=cmd_treecode_bench)

@@ -3,12 +3,13 @@
 import json
 import math
 import os
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from landau_particles import Mollifier, ParticleEnsemble, QuadratureGrid, blob_eval
+from landau_particles import Mollifier, ParticleEnsemble, QuadratureGrid, blob_eval, cli
 from landau_particles.cli import convergence_study, main, treecode_bench
 from landau_particles.config import (
     ConfigError,
@@ -180,6 +181,25 @@ def test_treecode_bench_smoke():
     assert rows[0]["n_particles"] == 216
     assert rows[1]["rel_l2"] < 1e-3
     assert "ratio_direct" in rows[1]
+
+
+def test_bench_timing_spans_minimum_time(monkeypatch):
+    monkeypatch.setattr(cli, "MIN_TIMING_S", 0.05)
+    calls = []
+
+    def evaluation(pause):
+        calls.append(pause)
+        time.sleep(pause)
+        return len(calls)
+
+    # short calls repeat until MIN_TIMING_S is spent; the minimum is reported
+    best, out = cli._min_time(evaluation, (0.005,), repeats=2)
+    assert len(calls) >= 10 and out == len(calls)
+    assert 0.005 <= best < 0.05
+    # calls of MIN_TIMING_S / repeats or longer run exactly `repeats` times
+    calls.clear()
+    best, out = cli._min_time(evaluation, (0.03,), repeats=2)
+    assert len(calls) == 2 and out == 2 and best >= 0.03
 
 
 def test_cli_run_end_to_end(tmp_path):
