@@ -88,7 +88,7 @@ def relative_entropy(ens, grid, mol, reference="standard", density_pair=None):
     return grid.cell_volume * float(np.sum(dens * (log_dens + neg_log_ref)))
 
 
-def dissipation(ens, scores, spec, block=None):
+def dissipation(ens, scores, spec):
     """Entropy dissipation 0.5 sum_ij w_i w_j (F_i - F_j) . A(v_i - v_j) (F_i - F_j).
 
     Nonnegative up to rounding since A is PSD; pairs within Z_FLOOR are skipped.
@@ -96,8 +96,7 @@ def dissipation(ens, scores, spec, block=None):
     v, w = ens.velocities, ens.weights
     f = np.asarray(scores, dtype=float)
     n = ens.size
-    if block is None:
-        block = max(1, int(2.4e7 / max(n * ens.dim, 1)))
+    block = max(1, int(2.4e7 / max(n * ens.dim, 1)))
     half_gamma = 0.5 * spec.gamma
     total = 0.0
     for lo in range(0, n, block):
@@ -126,12 +125,11 @@ def dissipation_from_velocities(ens, scores, velocities):
     return -float(np.sum(ens.weights * np.einsum("id,id->i", scores, velocities)))
 
 
-def blob_eval(ens, mol, points, block=None):
+def blob_eval(ens, mol, points):
     """Blob reconstruction sum_i w_i psi_eps(p - v_i) at arbitrary points."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     v, w = ens.velocities, ens.weights
-    if block is None:
-        block = max(1, int(2.0e7 / max(ens.size, 1)))
+    block = max(1, int(2.0e7 / max(ens.size, 1)))
     out = np.empty(points.shape[0])
     for lo in range(0, points.shape[0], block):
         psi = mollifier_eval(points[lo : lo + block, None, :] - v[None, :, :], mol)

@@ -74,6 +74,21 @@ def axis_slice_points(grid, axis):
     return pts
 
 
+def _write_csv(path, header, columns):
+    """Header plus one row per entry of the column-stacked float arrays.
+
+    Rows are formatted and written one at a time, so no list of every row's
+    Python floats or text is held at once.
+    """
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        fh.writelines(
+            ",".join(map(repr, row.tolist())) + "\n"
+            for row in np.column_stack(columns)
+        )
+    return path
+
+
 def write_snapshot(ens, grid, mol, time, outdir, tag):
     """Particles, blob-on-grid, and per-axis origin slices as three CSV groups.
 
@@ -82,36 +97,25 @@ def write_snapshot(ens, grid, mol, time, outdir, tag):
     """
     outdir = str(outdir)
     dim = grid.dim
-    paths = []
-
-    path = f"{outdir}/particles_{tag}.csv"
     vcols = ",".join(f"v_{s + 1}" for s in range(dim))
-    lines = [f"w,{vcols}"]
-    for w, v in zip(ens.weights, ens.velocities):
-        lines.append(",".join([_fmt(w)] + [_fmt(c) for c in v]))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    paths.append(path)
-
-    path = f"{outdir}/blob_{tag}.csv"
-    blob = blob_on_grid(ens, grid, mol)
-    lines = [f"{vcols},blob"]
-    for center, val in zip(grid.centers, blob):
-        lines.append(",".join([_fmt(c) for c in center] + [_fmt(val)]))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    paths.append(path)
-
+    paths = [
+        _write_csv(
+            f"{outdir}/particles_{tag}.csv", f"w,{vcols}",
+            [ens.weights, ens.velocities],
+        ),
+        _write_csv(
+            f"{outdir}/blob_{tag}.csv", f"{vcols},blob",
+            [grid.centers, blob_on_grid(ens, grid, mol)],
+        ),
+    ]
     for axis in range(dim):
-        path = f"{outdir}/slice_axis{axis + 1}_{tag}.csv"
-        pts = axis_slice_points(grid, axis)
-        vals = blob_eval(ens, mol, pts)
-        lines = [f"v_{axis + 1},blob"]
-        for coord, val in zip(grid.axis, vals):
-            lines.append(f"{_fmt(coord)},{_fmt(val)}")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-        paths.append(path)
+        vals = blob_eval(ens, mol, axis_slice_points(grid, axis))
+        paths.append(
+            _write_csv(
+                f"{outdir}/slice_axis{axis + 1}_{tag}.csv", f"v_{axis + 1},blob",
+                [grid.axis, vals],
+            )
+        )
     return paths
 
 

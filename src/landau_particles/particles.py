@@ -204,7 +204,7 @@ def grid_log_density(ens, grid, mol):
     return mollified_grid_density(ens, grid, mol)[1]
 
 
-def score_field(ens, grid, mol, targets, log_density=None, block=None):
+def score_field(ens, grid, mol, targets, log_density=None):
     """Entropy score F(x) = sum_l h^d grad psi_eps(x - v_l^c) log density_l.
 
     Evaluates the midpoint-quadrature sum over all grid cells at each target,
@@ -217,8 +217,7 @@ def score_field(ens, grid, mol, targets, log_density=None, block=None):
     n, d = grid.cells_per_dim, grid.dim
     scale = grid.cell_volume * mol.norm_const / mol.eps
     t_total = targets.shape[0]
-    if block is None:
-        block = max(1, int(1.5e7 / max(n ** (d - 1), 1)))
+    block = max(1, int(1.5e7 / max(n ** (d - 1), 1)))
     out = np.empty((t_total, d))
     ld = log_density.reshape((n,) * d)
     for lo in range(0, t_total, block):

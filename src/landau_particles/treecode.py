@@ -19,10 +19,13 @@ with u = y_c - x, valid for any s with k_s >= 1, both derived by Leibniz
 differentiation of |u|^2 d_s f = (radial exponent) u_s f. The collision-matrix
 components assemble from the beta = gamma and beta = gamma + 2 families:
 A_rr = B (|u|^(gamma+2) - u_r^2 |u|^gamma), A_rs = -B u_r u_s |u|^gamma,
-via Taylor products with the quadratic monomial prefactors.
+via Taylor products with the quadratic monomial prefactors. The providers
+form the coefficients only inside their far-field sums over k of a^k m^k;
+taylor_coeffs_* evaluate that sum at unit moments (m^k = e_k), which returns
+the coefficients themselves.
 """
 
-import math
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +44,8 @@ class NearFieldError(ValueError):
 class TreecodeParams:
     """MAC opening angle theta in [0, 1), expansion order p >= 0, leaf size.
 
-    theta = 0 disables every expansion: the sum degenerates to direct
-    summation.
+    theta = 0 admits no cluster of positive radius, so the traversal sums
+    every leaf directly.
     """
 
     theta: float = 0.5
@@ -60,9 +63,6 @@ class TreecodeParams:
 
 # ---------------------------------------------------------------------------
 # multi-index bookkeeping
-
-_INDEX_CACHE = {}
-
 
 def multi_indices(order, dim):
     """All multi-indices with |k| <= order in graded lexicographic order."""
@@ -82,58 +82,44 @@ def multi_indices(order, dim):
     return out
 
 
+@functools.cache
 def _index_tables(order, dim):
     """Lookup tables for the recurrences; cached per (order, dim).
 
-    Returns (indices, pivot, im1, im2, imrs) where im1[i, s] / im2[i, s] are
-    the positions of k - e_s / k - 2 e_s (-1 if out of range) and
-    imrs[i, r, s] the position of k - e_r - e_s.
+    Returns (indices, pivot, im1, im2) where im1[i, s] / im2[i, s] are the
+    positions of k - e_s / k - 2 e_s (-1 if out of range).
     """
-    key = (order, dim)
-    if key in _INDEX_CACHE:
-        return _INDEX_CACHE[key]
     idx = multi_indices(order, dim)
     pos = {k: i for i, k in enumerate(idx)}
     p_count = len(idx)
     pivot = np.zeros(p_count, dtype=int)
     im1 = np.full((p_count, dim), -1, dtype=int)
     im2 = np.full((p_count, dim), -1, dtype=int)
-    imrs = np.full((p_count, dim, dim), -1, dtype=int)
 
-    def shifted(k, deltas):
-        shifted_k = list(k)
-        for s, amount in deltas:
-            shifted_k[s] -= amount
-            if shifted_k[s] < 0:
-                return -1
-        return pos[tuple(shifted_k)]
+    def shifted(k, s, amount):
+        if k[s] < amount:
+            return -1
+        return pos[k[:s] + (k[s] - amount,) + k[s + 1 :]]
 
     for i, k in enumerate(idx):
         pivot[i] = int(np.argmax(k))
         for s in range(dim):
-            im1[i, s] = shifted(k, [(s, 1)])
-            im2[i, s] = shifted(k, [(s, 2)])
-            for r in range(dim):
-                if r == s:
-                    imrs[i, r, s] = im2[i, s]
-                else:
-                    imrs[i, r, s] = shifted(k, [(r, 1), (s, 1)])
-    tables = (idx, pivot, im1, im2, imrs)
-    _INDEX_CACHE[key] = tables
-    return tables
+            im1[i, s] = shifted(k, s, 1)
+            im2[i, s] = shifted(k, s, 2)
+    return idx, pivot, im1, im2
 
 
-def _gaussian_coeff_table(u, eps, order):
+def _gaussian_coeff_table(u, mol, order):
     """Taylor coefficients of psi_eps(x - y) in y about y_c, u = y_c - x.
 
     u has shape (T, d); returns (P, T).
     """
     t_count, dim = u.shape
-    idx, pivot, im1, im2, _ = _index_tables(order, dim)
-    norm = (2.0 * math.pi * eps) ** (-0.5 * dim)
+    eps = mol.eps
+    idx, pivot, im1, im2 = _index_tables(order, dim)
     b = np.empty((len(idx), t_count))
     r2 = np.einsum("td,td->t", u, u)
-    b[0] = norm * np.exp(-r2 / (2.0 * eps))
+    b[0] = mol.norm_const * np.exp(-r2 / (2.0 * eps))
     for i in range(1, len(idx)):
         s = pivot[i]
         ks = idx[i][s]
@@ -147,7 +133,7 @@ def _gaussian_coeff_table(u, eps, order):
 def _radial_coeff_table(u, r2, beta, order):
     """Taylor coefficients of |w - x|^beta in w about y_c, u = y_c - x."""
     t_count, dim = u.shape
-    idx, pivot, im1, im2, _ = _index_tables(order, dim)
+    idx, pivot, im1, im2 = _index_tables(order, dim)
     b = np.empty((len(idx), t_count))
     b[0] = r2 ** (0.5 * beta)
     for i in range(1, len(idx)):
@@ -166,9 +152,7 @@ def _radial_coeff_table(u, r2, beta, order):
     return b
 
 
-_SHIFT_CACHE = {}
-
-
+@functools.cache
 def _shift_tables(order, dim):
     """Moment reindexing maps for the contracted far-field path.
 
@@ -177,9 +161,6 @@ def _shift_tables(order, dim):
     shifted index exceeds the order). Shifting the moments this way turns
     sum_p a^(p - sigma) m^p into a plain contraction against the radial table.
     """
-    key = (order, dim)
-    if key in _SHIFT_CACHE:
-        return _SHIFT_CACHE[key]
     idx = multi_indices(order, dim)
     pos = {k: i for i, k in enumerate(idx)}
     p_count = len(idx)
@@ -198,7 +179,6 @@ def _shift_tables(order, dim):
             if sum(shifted) <= order:
                 table[i] = pos[shifted]
         fwd[sh] = table
-    _SHIFT_CACHE[key] = fwd
     return fwd
 
 
@@ -220,19 +200,14 @@ class GaussianProvider:
         self.mol = mol
         self.n_outputs = 1
 
-    def coeffs(self, targets, center, order):
-        u = center[None, :] - targets
-        return _gaussian_coeff_table(u, self.mol.eps, order)[None, :, :]
-
     def far_contribution(self, targets, center, node_moments, order):
         u = center[None, :] - targets
-        table = _gaussian_coeff_table(u, self.mol.eps, order)
+        table = _gaussian_coeff_table(u, self.mol, order)
         return (node_moments @ table)[None, :, :]
 
-    def direct_sum(self, targets, sources, charges, out=None):
-        norm = (2.0 * math.pi * self.mol.eps) ** (-0.5 * self.mol.dim)
+    def direct_sum(self, targets, sources, charges):
         diff = targets[:, None, :] - sources[None, :, :]
-        psi = norm * np.exp(
+        psi = self.mol.norm_const * np.exp(
             -np.einsum("tsd,tsd->ts", diff, diff) / (2.0 * self.mol.eps)
         )
         return np.einsum("ts,cs->ct", psi, charges)[None, :, :]
@@ -245,25 +220,10 @@ class GaussianGradProvider:
         self.mol = mol
         self.n_outputs = mol.dim
 
-    def coeffs(self, targets, center, order):
-        dim = self.mol.dim
-        eps = self.mol.eps
-        u = center[None, :] - targets
-        base = _gaussian_coeff_table(u, eps, order)
-        _, _, im1, _, _ = _index_tables(order, dim)
-        padded = np.vstack([base, np.zeros((1, base.shape[1]))])
-        out = np.empty((dim, base.shape[0], base.shape[1]))
-        for s in range(dim):
-            gather = np.where(im1[:, s] >= 0, im1[:, s], base.shape[0])
-            # d_s psi(x-y) = ((y_s - x_s)/eps) psi(x-y); Taylor product with the
-            # linear factor u_s + delta_s
-            out[s] = (u[:, s][None, :] * base + padded[gather]) / eps
-        return out
-
     def far_contribution(self, targets, center, node_moments, order):
         dim = self.mol.dim
         u = center[None, :] - targets
-        table = _gaussian_coeff_table(u, self.mol.eps, order)
+        table = _gaussian_coeff_table(u, self.mol, order)
         fwd = _shift_tables(order, dim)
         mom_pad = np.concatenate(
             [node_moments, np.zeros((node_moments.shape[0], 1))], axis=1
@@ -275,11 +235,9 @@ class GaussianGradProvider:
             out[s] = (u[:, s][None, :] * s0 + s1) / self.mol.eps
         return out
 
-    def direct_sum(self, targets, sources, charges, out=None):
-        dim = self.mol.dim
-        norm = (2.0 * math.pi * self.mol.eps) ** (-0.5 * self.mol.dim)
+    def direct_sum(self, targets, sources, charges):
         diff = targets[:, None, :] - sources[None, :, :]
-        psi = norm * np.exp(
+        psi = self.mol.norm_const * np.exp(
             -np.einsum("tsd,tsd->ts", diff, diff) / (2.0 * self.mol.eps)
         )
         vals = -(diff / self.mol.eps) * psi[:, :, None]  # (T, S, d)
@@ -293,46 +251,6 @@ class KernelMatrixProvider:
         self.spec = spec
         self.pairs = component_pairs(spec.dim)
         self.n_outputs = len(self.pairs)
-
-    def coeffs(self, targets, center, order):
-        spec = self.spec
-        dim = spec.dim
-        u = center[None, :] - targets
-        r2 = np.einsum("td,td->t", u, u)
-        if np.any(r2 <= Z_FLOOR * Z_FLOOR):
-            raise NearFieldError(
-                "collision-matrix expansion requested at near-zero range; "
-                "near-field pairs must use direct summation"
-            )
-        bg = _radial_coeff_table(u, r2, spec.gamma, order)
-        bg2 = _radial_coeff_table(u, r2, spec.gamma + 2.0, order)
-        p_count = bg.shape[0]
-        _, _, im1, _, imrs = _index_tables(order, dim)
-        pad_g = np.vstack([bg, np.zeros((1, bg.shape[1]))])
-
-        def g_shift(table_row):
-            return pad_g[np.where(table_row >= 0, table_row, p_count)]
-
-        out = np.empty((self.n_outputs, p_count, u.shape[0]))
-        for c, (r, s) in enumerate(self.pairs):
-            if r == s:
-                ur = u[:, r][None, :]
-                out[c] = bg2 - (
-                    ur * ur * bg
-                    + 2.0 * ur * g_shift(im1[:, r])
-                    + g_shift(imrs[:, r, r])
-                )
-            else:
-                ur = u[:, r][None, :]
-                us = u[:, s][None, :]
-                out[c] = -(
-                    ur * us * bg
-                    + us * g_shift(im1[:, r])
-                    + ur * g_shift(im1[:, s])
-                    + g_shift(imrs[:, r, s])
-                )
-        out *= self.spec.prefactor
-        return out
 
     def far_contribution(self, targets, center, node_moments, order):
         """Moment-contracted expansion sums, shape (n_comp, C, F).
@@ -381,16 +299,13 @@ class KernelMatrixProvider:
         out *= spec.prefactor
         return out
 
-    def direct_sum(self, targets, sources, charges, out=None):
+    def direct_sum(self, targets, sources, charges):
         spec = self.spec
         diff = targets[:, None, :] - sources[None, :, :]
         r2 = np.einsum("tsd,tsd->ts", diff, diff)
         near = r2 <= Z_FLOOR * Z_FLOOR
-        if spec.gamma == 0.0:
-            base = np.where(near, 0.0, spec.prefactor)
-        else:
-            base = spec.prefactor * np.where(near, 1.0, r2) ** (0.5 * spec.gamma)
-            base[near] = 0.0
+        base = spec.prefactor * np.where(near, 1.0, r2) ** (0.5 * spec.gamma)
+        base[near] = 0.0
         res = np.empty((self.n_outputs, charges.shape[0], targets.shape[0]))
         for c, (r, s) in enumerate(self.pairs):
             if r == s:
@@ -401,18 +316,22 @@ class KernelMatrixProvider:
         return res
 
 
-def taylor_coeffs_gaussian(x, y_c, mol, order):
-    """Taylor coefficients of psi_eps(x - .) about y_c, shape (P,)."""
+def _unit_moment_coeffs(provider, x, y_c, order):
+    """Far-field sum of one target at unit moments: the coefficients a^k."""
     x = np.asarray(x, dtype=float)
     y_c = np.asarray(y_c, dtype=float)
-    return GaussianProvider(mol).coeffs(x[None, :], y_c, order)[0, :, 0]
+    p_count = len(_index_tables(order, x.shape[0])[0])
+    return provider.far_contribution(x[None, :], y_c, np.eye(p_count), order)[:, :, 0]
+
+
+def taylor_coeffs_gaussian(x, y_c, mol, order):
+    """Taylor coefficients of psi_eps(x - .) about y_c, shape (P,)."""
+    return _unit_moment_coeffs(GaussianProvider(mol), x, y_c, order)[0]
 
 
 def taylor_coeffs_gaussian_grad(x, y_c, mol, order):
     """Coefficients of each component of grad psi_eps(x - .), shape (d, P)."""
-    x = np.asarray(x, dtype=float)
-    y_c = np.asarray(y_c, dtype=float)
-    return GaussianGradProvider(mol).coeffs(x[None, :], y_c, order)[:, :, 0]
+    return _unit_moment_coeffs(GaussianGradProvider(mol), x, y_c, order)
 
 
 def taylor_coeffs_A(x, y_c, spec, order):
@@ -421,9 +340,7 @@ def taylor_coeffs_A(x, y_c, spec, order):
     Component order follows component_pairs(spec.dim). Raises NearFieldError
     when |x - y_c| <= Z_FLOOR.
     """
-    x = np.asarray(x, dtype=float)
-    y_c = np.asarray(y_c, dtype=float)
-    return KernelMatrixProvider(spec).coeffs(x[None, :], y_c, order)[:, :, 0]
+    return _unit_moment_coeffs(KernelMatrixProvider(spec), x, y_c, order)
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +436,7 @@ class ClusterMoments:
         self.n_channels = charges.shape[0]
         charges_perm = charges[:, tree.permutation]
         self.charges_perm = charges_perm
-        idx, pivot, im1, _, _ = _index_tables(order, tree.dim)
+        idx, pivot, im1, _ = _index_tables(order, tree.dim)
         p_count = len(idx)
         self.per_node = [None] * len(tree.nodes)
         for node in tree.nodes:
@@ -537,22 +454,16 @@ def compute_moments(tree, charges, order):
     return ClusterMoments(tree, charges, order)
 
 
-def treecode_sum(tree, moments, provider, targets, params, block=2048):
+def treecode_sum(tree, moments, provider, targets, params):
     """Per-target kernel sums, shape (n_outputs, n_channels, T).
 
     MAC-admissible particle-cluster interactions use the truncated Taylor
     expansion contracted with cluster moments; inadmissible leaves are summed
-    directly. theta = 0 evaluates the plain direct sum over all sources.
+    directly.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     t_count = targets.shape[0]
     out = np.zeros((provider.n_outputs, moments.n_channels, t_count))
-    if params.theta == 0.0:
-        for lo in range(0, t_count, block):
-            out[:, :, lo : lo + block] = provider.direct_sum(
-                targets[lo : lo + block], tree.sources, moments.charges_perm
-            )
-        return out
     stack = [(tree.root, np.arange(t_count))]
     while stack:
         node, tidx = stack.pop()

@@ -137,17 +137,19 @@ def test_moments_parent_equals_shifted_children():
         assert total == pytest.approx(mom.per_node[parent.index][0, i], rel=1e-12, abs=1e-12)
 
 
-def test_gaussian_coeffs_low_orders_closed_form():
-    mol = Mollifier(eps=0.4, dim=3)
-    x = np.array([0.2, -0.5, 1.0])
-    yc = np.array([1.5, 0.3, -0.2])
+@pytest.mark.parametrize("dim", [3, 2])
+def test_gaussian_coeffs_low_orders_closed_form(dim):
+    mol = Mollifier(eps=0.4, dim=dim)
+    x = np.array([0.2, -0.5, 1.0])[:dim]
+    yc = np.array([1.5, 0.3, -0.2])[:dim]
     coeffs = taylor_coeffs_gaussian(x, yc, mol, 1)
+    assert coeffs.shape == (dim + 1,)
     z = x - yc
     psi = mol.norm_const * np.exp(-float(z @ z) / (2 * mol.eps))
     assert coeffs[0] == pytest.approx(psi, rel=1e-14)
-    idx = multi_indices(1, 3)
-    for s in range(3):
-        i = idx.index(tuple(int(t == s) for t in range(3)))
+    idx = multi_indices(1, dim)
+    for s in range(dim):
+        i = idx.index(tuple(int(t == s) for t in range(dim)))
         assert coeffs[i] == pytest.approx((x[s] - yc[s]) / mol.eps * psi, rel=1e-13)
 
 
@@ -189,15 +191,17 @@ def test_gaussian_grad_coeffs_match_finite_differences():
             assert abs(coeffs[s, i] - fd) <= max(1e-6 * abs(fd), 1e-9 * scale)
 
 
-def test_A_coeffs_order_zero_is_kernel_entry():
-    spec = CollisionKernelSpec(gamma=-3.0, prefactor=1 / (4 * np.pi), dim=3)
-    x = np.array([0.3, 0.1, -0.4])
-    yc = np.array([-1.2, 0.8, 0.5])
+@pytest.mark.parametrize("dim", [3, 2])
+def test_A_coeffs_order_zero_is_kernel_entry(dim):
+    spec = CollisionKernelSpec(gamma=-3.0, prefactor=1 / (4 * np.pi), dim=dim)
+    x = np.array([0.3, 0.1, -0.4])[:dim]
+    yc = np.array([-1.2, 0.8, 0.5])[:dim]
     coeffs = taylor_coeffs_A(x, yc, spec, 0)
+    assert coeffs.shape == (len(component_pairs(dim)), 1)
     z = x - yc
     r2 = float(z @ z)
     base = spec.prefactor * r2 ** (-1.5)
-    for c, (r, s) in enumerate(component_pairs(3)):
+    for c, (r, s) in enumerate(component_pairs(dim)):
         expected = base * (r2 - z[r] * z[r]) if r == s else -base * z[r] * z[s]
         assert coeffs[c, 0] == pytest.approx(expected, rel=1e-13)
 
@@ -248,21 +252,55 @@ def _random_instance(rng, n, dim):
     return pts, q
 
 
-def test_treecode_sum_theta_zero_is_direct():
+def _naive_gaussian_sums(targets, pts, q, mol):
+    from landau_particles.kernels import mollifier_eval
+
+    return np.array(
+        [[[float(np.sum(qc * mollifier_eval(t - pts, mol))) for t in targets] for qc in q]]
+    )
+
+
+def _naive_kernel_matrix_sums(targets, pts, q, spec):
+    # sum_j q_j A_rs(x - y_j) from the definition, one pair at a time
+    from landau_particles.kernels import kernel_matrix
+
+    pairs = component_pairs(spec.dim)
+    out = np.zeros((len(pairs), q.shape[0], len(targets)))
+    for t, x in enumerate(targets):
+        for j, y in enumerate(pts):
+            a = kernel_matrix(x - y, spec)
+            for c, (r, s) in enumerate(pairs):
+                out[c, :, t] += q[:, j] * a[r, s]
+    return out
+
+
+@pytest.mark.parametrize(
+    "kind, rtol",
+    [
+        pytest.param("gaussian", 1e-13, id="gaussian"),
+        pytest.param("kernel_matrix", 1e-12, id="kernel_matrix"),
+    ],
+)
+def test_treecode_sum_theta_zero_is_direct(kind, rtol):
     rng = np.random.default_rng(2)
     pts, q = _random_instance(rng, 300, 3)
-    mol = Mollifier(eps=0.05, dim=3)
     params = TreecodeParams(theta=0.0, order=4, leaf_capacity=16)
     tree = build_tree(pts, params)
     mom = compute_moments(tree, q, params.order)
-    targets = rng.uniform(-1, 1, size=(50, 3))
-    got = treecode_sum(tree, mom, GaussianProvider(mol), targets, params)[0, 0]
-    from landau_particles.kernels import mollifier_eval
-
-    direct = np.array(
-        [float(np.sum(q[0] * mollifier_eval(t - pts, mol))) for t in targets]
-    )
-    assert np.allclose(got, direct, rtol=1e-13, atol=1e-300)
+    # the last target coincides with a source: that pair lies under Z_FLOOR
+    targets = np.vstack([rng.uniform(-1, 1, size=(50, 3)), pts[7:8]])
+    if kind == "gaussian":
+        mol = Mollifier(eps=0.05, dim=3)
+        provider = GaussianProvider(mol)
+        direct = _naive_gaussian_sums(targets, pts, q, mol)
+    else:
+        spec = CollisionKernelSpec(gamma=-3.0, prefactor=1 / (4 * np.pi), dim=3)
+        provider = KernelMatrixProvider(spec)
+        direct = _naive_kernel_matrix_sums(targets, pts, q, spec)
+    got = treecode_sum(tree, mom, provider, targets, params)
+    assert got.shape == direct.shape
+    assert np.all(np.isfinite(got))
+    assert np.allclose(got, direct, rtol=rtol, atol=1e-300)
 
 
 def test_treecode_sum_monopole_far_cluster():
