@@ -136,19 +136,29 @@ def _radial_coeff_table(u, r2, beta, order):
     idx, pivot, im1, im2 = _index_tables(order, dim)
     b = np.empty((len(idx), t_count))
     b[0] = r2 ** (0.5 * beta)
+    # Row-independent factors are formed once; each row is then accumulated
+    # in place, in the operand order of the recurrence.
+    ut = np.ascontiguousarray(u.T)
+    two_u = 2.0 * ut
+    neg_r2 = -r2
+    c1u = {}
+    tmp = np.empty(t_count)
     for i in range(1, len(idx)):
         s = pivot[i]
         ks = idx[i][s]
-        acc = (2.0 - (2.0 + beta) / ks) * u[:, s] * b[im1[i, s]]
+        if (s, ks) not in c1u:
+            c1u[s, ks] = (2.0 - (2.0 + beta) / ks) * ut[s]
+        acc = b[i]
+        np.multiply(c1u[s, ks], b[im1[i, s]], out=acc)
         if im2[i, s] >= 0:
-            acc = acc + (1.0 - (2.0 + beta) / ks) * b[im2[i, s]]
+            acc += np.multiply(1.0 - (2.0 + beta) / ks, b[im2[i, s]], out=tmp)
         for t in range(dim):
             if t == s or idx[i][t] == 0:
                 continue
-            acc = acc + 2.0 * u[:, t] * b[im1[i, t]]
+            acc += np.multiply(two_u[t], b[im1[i, t]], out=tmp)
             if im2[i, t] >= 0:
-                acc = acc + b[im2[i, t]]
-        b[i] = acc / (-r2)
+                acc += b[im2[i, t]]
+        acc /= neg_r2
     return b
 
 
@@ -463,7 +473,8 @@ def treecode_sum(tree, moments, provider, targets, params):
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     t_count = targets.shape[0]
-    out = np.zeros((provider.n_outputs, moments.n_channels, t_count))
+    # target-major accumulator: each += below touches whole contiguous rows
+    acc = np.zeros((t_count, provider.n_outputs, moments.n_channels))
     stack = [(tree.root, np.arange(t_count))]
     while stack:
         node, tidx = stack.pop()
@@ -472,23 +483,21 @@ def treecode_sum(tree, moments, provider, targets, params):
         dist = np.sqrt(np.einsum("td,td->t", diff, diff))
         far = (node.radius <= params.theta * dist) & (dist > Z_FLOOR)
         if np.any(far):
-            fidx = tidx[far]
-            out[:, :, fidx] += provider.far_contribution(
-                targets[fidx], node.center, moments.per_node[node.index],
-                params.order,
-            )
+            acc[tidx[far]] += provider.far_contribution(
+                x[far], node.center, moments.per_node[node.index], params.order,
+            ).transpose(2, 0, 1)
         if not np.all(far):
             nidx = tidx[~far]
             if node.is_leaf:
-                out[:, :, nidx] += provider.direct_sum(
-                    targets[nidx],
+                acc[nidx] += provider.direct_sum(
+                    x[~far],
                     tree.sources[node.start : node.end],
                     moments.charges_perm[:, node.start : node.end],
-                )
+                ).transpose(2, 0, 1)
             else:
                 for child in node.children:
                     stack.append((child, nidx))
-    return out
+    return acc.transpose(1, 2, 0)
 
 
 def treecode_velocity_field(ens, scores, spec, params):

@@ -3,8 +3,9 @@
 import json
 import math
 import os
-import time
 from dataclasses import replace
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -185,11 +186,16 @@ def test_treecode_bench_smoke():
 
 def test_bench_timing_spans_minimum_time(monkeypatch):
     monkeypatch.setattr(cli, "MIN_TIMING_S", 0.05)
+    # each call lasts exactly `pause` seconds on a simulated clock (exact
+    # rational time), so the call counts below do not depend on how far a
+    # real sleep overshoots
+    clock = [Fraction(0)]
+    monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
     calls = []
 
     def evaluation(pause):
         calls.append(pause)
-        time.sleep(pause)
+        clock[0] += Fraction(pause)
         return len(calls)
 
     # short calls repeat until MIN_TIMING_S is spent; the minimum is reported
