@@ -192,7 +192,7 @@ def bench_instance(n_side, seed, dim=3):
     return ParticleEnsemble(v, w), f
 
 
-# Minimum span of calls behind each treecode_bench timing (see _min_time).
+# Minimum span of calls behind each treecode_bench timing (see _min_times).
 MIN_TIMING_S = 2.0
 
 
@@ -201,7 +201,8 @@ def treecode_bench(n_list, theta, order, leaf_capacity, repeats=2, seed=0, gamma
 
     This is the engine-differing cost of one collision step (the pairwise
     kernel summation); each timing is the minimum over at least `repeats`
-    calls and at least MIN_TIMING_S seconds of calls (see _min_time).
+    calls and at least MIN_TIMING_S seconds of calls, with all engines and
+    sizes taking turns (see _min_times).
     Returns one row per resolution with times, the per-target sums' relative
     L2 deviation, and consecutive-size time ratios.
     """
@@ -211,11 +212,15 @@ def treecode_bench(n_list, theta, order, leaf_capacity, repeats=2, seed=0, gamma
         dim=3,
     )
     params = TreecodeParams(theta=theta, order=order, leaf_capacity=leaf_capacity)
+    instances = [bench_instance(n_side, seed) for n_side in n_list]
+    calls = []
+    for ens, f in instances:
+        calls.append((velocity_field_direct, (ens, f, spec)))
+        calls.append((treecode_velocity_field, (ens, f, spec, params)))
+    timings = _min_times(calls, repeats)
     rows = []
-    for n_side in n_list:
-        ens, f = bench_instance(n_side, seed)
-        t_direct, u_direct = _min_time(velocity_field_direct, (ens, f, spec), repeats)
-        t_tree, u_tree = _min_time(treecode_velocity_field, (ens, f, spec, params), repeats)
+    for i, (n_side, (ens, _)) in enumerate(zip(n_list, instances)):
+        (t_direct, u_direct), (t_tree, u_tree) = timings[2 * i : 2 * i + 2]
         rel = float(np.linalg.norm(u_tree - u_direct) / np.linalg.norm(u_direct))
         rows.append({
             "n_side": n_side, "n_particles": ens.size,
@@ -227,24 +232,33 @@ def treecode_bench(n_list, theta, order, leaf_capacity, repeats=2, seed=0, gamma
     return rows
 
 
-def _min_time(fn, args, repeats):
-    """Minimum wall time of fn(*args) and its result.
+def _min_times(calls, repeats):
+    """Minimum wall time and result of each fn(*args) in calls.
 
-    Calls fn at least `repeats` times and until MIN_TIMING_S seconds of calls
-    have been spent. On a shared host the load changes within seconds, so two
-    sub-second calls can both fall in a slow stretch while the next size's
-    calls fall in a fast one; sampling every evaluation for the same minimum
-    span keeps the consecutive-size ratios from hinging on that. Evaluations
-    that take MIN_TIMING_S / repeats or longer are timed exactly `repeats`
-    times.
+    Calls each fn at least `repeats` times and until MIN_TIMING_S seconds of
+    its calls have been spent; evaluations that take MIN_TIMING_S / repeats or
+    longer are timed exactly `repeats` times. On a shared host the load
+    changes within seconds, so one size's calls timed in a block can all fall
+    in a slow stretch while the next size's block falls in a fast one. The
+    calls therefore take turns, one evaluation each per round, so every
+    timing samples the same stretches; a call that has met both conditions
+    sits out the later rounds.
     """
-    best, spent, calls = math.inf, 0.0, 0
-    while calls < repeats or spent < MIN_TIMING_S:
-        t0 = time.perf_counter()
-        out = fn(*args)
-        t = time.perf_counter() - t0
-        best, spent, calls = min(best, t), spent + t, calls + 1
-    return best, out
+    count = len(calls)
+    best, spent, done = [math.inf] * count, [0.0] * count, [0] * count
+    out = [None] * count
+    while True:
+        pending = [
+            i for i in range(count) if done[i] < repeats or spent[i] < MIN_TIMING_S
+        ]
+        if not pending:
+            return list(zip(best, out))
+        for i in pending:
+            fn, args = calls[i]
+            t0 = time.perf_counter()
+            out[i] = fn(*args)
+            t = time.perf_counter() - t0
+            best[i], spent[i], done[i] = min(best[i], t), spent[i] + t, done[i] + 1
 
 
 def cmd_treecode_bench(args):

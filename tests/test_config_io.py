@@ -199,13 +199,23 @@ def test_bench_timing_spans_minimum_time(monkeypatch):
         return len(calls)
 
     # short calls repeat until MIN_TIMING_S is spent; the minimum is reported
-    best, out = cli._min_time(evaluation, (0.005,), repeats=2)
+    [(best, out)] = cli._min_times([(evaluation, (0.005,))], repeats=2)
     assert len(calls) >= 10 and out == len(calls)
     assert 0.005 <= best < 0.05
     # calls of MIN_TIMING_S / repeats or longer run exactly `repeats` times
     calls.clear()
-    best, out = cli._min_time(evaluation, (0.03,), repeats=2)
+    [(best, out)] = cli._min_times([(evaluation, (0.03,))], repeats=2)
     assert len(calls) == 2 and out == 2 and best >= 0.03
+    # several calls take turns while each still needs samples; a call that
+    # has met both conditions sits out, the others keep their own rule
+    calls.clear()
+    (best_long, out_long), (best_short, out_short) = cli._min_times(
+        [(evaluation, (0.03,)), (evaluation, (0.005,))], repeats=2
+    )
+    assert calls[:4] == [0.03, 0.005, 0.03, 0.005]
+    assert calls.count(0.03) == 2 and set(calls[4:]) == {0.005}
+    assert calls.count(0.005) >= 10 and out_short == len(calls) and out_long == 3
+    assert best_long >= 0.03 and 0.005 <= best_short < 0.05
 
 
 def test_cli_run_end_to_end(tmp_path):
