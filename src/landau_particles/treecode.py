@@ -16,16 +16,21 @@ Taylor coefficients a^k = (1/k!) D_y^k phi are generated by recurrences:
                 + (1-(2+beta)/k_s) a^(k-2e_s)
                 + sum_(t != s) [2 u_t a^(k-e_t) + a^(k-2e_t)] = 0
 with u = y_c - x, valid for any s with k_s >= 1, both derived by Leibniz
-differentiation of |u|^2 d_s f = (radial exponent) u_s f. The collision-matrix
-components assemble from the beta = gamma and beta = gamma + 2 families:
-A_rr = B (|u|^(gamma+2) - u_r^2 |u|^gamma), A_rs = -B u_r u_s |u|^gamma,
-via Taylor products with the quadratic monomial prefactors. The providers
+differentiation of |u|^2 d_s f = (radial exponent) u_s f. The Gaussian
+recurrence runs per target. The |u|^beta recurrence is target-independent
+after the substitution a^k = |u|^(beta-|k|) P_k(u/|u|), so its coefficients
+are a constant matrix, cached per (gamma, p, d), times the per-target
+monomials q^j of q = u/|u|^2, scaled by |u|^beta. One |u|^gamma
+expansion serves every collision-matrix component: with
+A_rr = B sum_(t != r) u_t^2 |u|^gamma and A_rs = -B u_r u_s |u|^gamma, the
+quadratic prefactors act as shifts of the cluster moments. The providers
 form the coefficients only inside their far-field sums over k of a^k m^k;
 taylor_coeffs_* evaluate that sum at unit moments (m^k = e_k), which returns
 the coefficients themselves.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,70 +135,130 @@ def _gaussian_coeff_table(u, mol, order):
     return b
 
 
-def _radial_coeff_table(u, r2, beta, order):
-    """Taylor coefficients of |w - x|^beta in w about y_c, u = y_c - x."""
-    t_count, dim = u.shape
+@functools.cache
+def _grade_slices(order, dim):
+    """Row slices of each grade of multi_indices(order, dim)."""
+    stops = [math.comb(g + dim, dim) for g in range(order + 1)]
+    return tuple(slice(a, b) for a, b in zip([0] + stops[:-1], stops))
+
+
+@functools.cache
+def _grade_tables(order, dim):
+    """Per grade g = 1..order of multi_indices: (parents, axes).
+
+    Row i of grade g is x^k = x^(k - e_s) x_s with s = axes[i] the pivot of k
+    and k - e_s at row parents[i] of grade g - 1.
+    """
+    _, pivot, im1, _ = _index_tables(order, dim)
+    grades = _grade_slices(order, dim)
+    tables = []
+    for below, grade in zip(grades, grades[1:]):
+        rows = np.arange(grade.start, grade.stop)
+        tables.append((im1[rows, pivot[rows]] - below.start, pivot[rows]))
+    return tables
+
+
+def _monomials(x, lead, grades):
+    """Fill grades[g] with lead * x^k for every |k| = g, g = 0..len(grades)-1.
+
+    x holds points as columns, shape (d, T); grades[g] is an output array of
+    shape (number of k with |k| = g, T), rows in multi_indices order; lead
+    (scalar or (T,)) is the row k = 0 and scales every row. Each grade is
+    one vectorised product with the grade below.
+    """
+    grades[0][0] = lead
+    for g, (parents, axes) in enumerate(_grade_tables(len(grades) - 1, x.shape[0]), 1):
+        np.multiply(grades[g - 1][parents], x[axes], out=grades[g])
+
+
+@functools.cache
+def _radial_coeff_matrix(beta, order, dim):
+    """Constant H with the Taylor coefficients a^k(u) of |w - x|^beta about y_c.
+
+    With u = y_c - x, r = |u| and q = u / r^2,
+        a^k(u) = r^beta sum_(|j| = |k|) H[k, j] q^j.
+    Substituting a^k = r^(beta - |k|) P_k(u~), u~ = u / r, into the
+    recurrence of the module docstring and writing each 1 = |u~|^2 makes it
+    division-free, target-independent and homogeneous:
+        P_k = -[c1 u~_s P_(k-e_s) + c2 |u~|^2 P_(k-2e_s)
+                + sum_(t != s) (2 u~_t P_(k-e_t) + |u~|^2 P_(k-2e_t))],
+    P_0 = 1, c1 = 2 - (2+beta)/k_s, c2 = 1 - (2+beta)/k_s. So P_k is a
+    homogeneous polynomial of degree |k| with coefficients H[k], and
+    r^(-|k|) P_k(u~) = P_k(q). Rows are accumulated in long double and
+    returned read-only in float64, shape (P, P), nonzero only where |j| = |k|.
+    """
     idx, pivot, im1, im2 = _index_tables(order, dim)
-    b = np.empty((len(idx), t_count))
-    b[0] = r2 ** (0.5 * beta)
-    # Row-independent factors are formed once; each row is then accumulated
-    # in place, in the operand order of the recurrence.
-    ut = np.ascontiguousarray(u.T)
-    two_u = 2.0 * ut
-    neg_r2 = -r2
-    c1u = {}
-    tmp = np.empty(t_count)
-    for i in range(1, len(idx)):
+    p_count = len(idx)
+    # up[t][i] / up2[t][i]: position of k_i + e_t / k_i + 2 e_t, or the pad
+    # column p_count, which only ever receives zeros
+    shift = _shift_tables(order, dim)
+    up, up2 = shift[1 : 1 + dim], shift[1 + dim : 1 + 2 * dim]
+    beta = np.longdouble(beta)
+    coeff = np.zeros((p_count, p_count + 1), dtype=np.longdouble)
+    coeff[0, 0] = 1.0
+    for i in range(1, p_count):
         s = pivot[i]
-        ks = idx[i][s]
-        if (s, ks) not in c1u:
-            c1u[s, ks] = (2.0 - (2.0 + beta) / ks) * ut[s]
-        acc = b[i]
-        np.multiply(c1u[s, ks], b[im1[i, s]], out=acc)
-        if im2[i, s] >= 0:
-            acc += np.multiply(1.0 - (2.0 + beta) / ks, b[im2[i, s]], out=tmp)
+        row = coeff[i]
         for t in range(dim):
-            if t == s or idx[i][t] == 0:
+            if idx[i][t] == 0:
                 continue
-            acc += np.multiply(two_u[t], b[im1[i, t]], out=tmp)
+            if t == s:
+                c1 = 2.0 - (2.0 + beta) / idx[i][s]
+                c2 = 1.0 - (2.0 + beta) / idx[i][s]
+            else:
+                c1, c2 = 2.0, 1.0
+            row[up[t]] += c1 * coeff[im1[i, t], :p_count]
             if im2[i, t] >= 0:
-                acc += b[im2[i, t]]
-        acc /= neg_r2
-    return b
+                for t2 in range(dim):
+                    row[up2[t2]] += c2 * coeff[im2[i, t], :p_count]
+        row *= -1.0
+    out = coeff[:, :p_count].astype(float)
+    out.setflags(write=False)
+    return out
+
+
+def _radial_basis(ut, r2, lead, order):
+    """Per-target basis lead * q^j, q = u / |u|^2, rows in multi_indices order.
+
+    ut is u transposed, shape (d, T); r2 = |u|^2; returns (P, T).
+    """
+    grades = _grade_slices(order, ut.shape[0])
+    basis = np.empty((grades[-1].stop, ut.shape[1]))
+    _monomials(ut / r2, lead, [basis[rows] for rows in grades])
+    return basis
 
 
 @functools.cache
 def _shift_tables(order, dim):
-    """Moment reindexing maps for the contracted far-field path.
+    """Moment reindexing maps for the contracted far-field path, shape (n_sh, P).
 
-    For each shift sigma in {0} U {e_r} U {e_r + e_s, r <= s}, fwd[sigma][i]
-    is the position of k_i + sigma (or P, pointing at a zero pad row, when the
+    The shifts sigma are 0, then e_r for each axis r, then e_r + e_s for each
+    (r, s) of component_pairs(dim). Row n of the table maps position i to
+    the position of k_i + sigma_n (or P, pointing at a zero pad row, when the
     shifted index exceeds the order). Shifting the moments this way turns
-    sum_p a^(p - sigma) m^p into a plain contraction against the radial table.
+    sum_p a^(p - sigma) m^p into a plain contraction against the coefficients.
     """
     idx = multi_indices(order, dim)
     pos = {k: i for i, k in enumerate(idx)}
-    p_count = len(idx)
-    shifts = [tuple(0 for _ in range(dim))]
-    shifts += [tuple(int(t == r) for t in range(dim)) for r in range(dim)]
-    shifts += [
-        tuple(int(t == r) + int(t == s) for t in range(dim))
-        for r in range(dim)
-        for s in range(r, dim)
-    ]
-    fwd = {}
-    for sh in shifts:
-        table = np.full(p_count, p_count, dtype=int)
+    axes = [()] + [(r,) for r in range(dim)] + component_pairs(dim)
+    table = np.full((len(axes), len(idx)), len(idx), dtype=int)
+    for n, sh in enumerate(axes):
         for i, k in enumerate(idx):
-            shifted = tuple(k[t] + sh[t] for t in range(dim))
+            shifted = list(k)
+            for t in sh:
+                shifted[t] += 1
             if sum(shifted) <= order:
-                table[i] = pos[shifted]
-        fwd[sh] = table
-    return fwd
+                table[n, i] = pos[tuple(shifted)]
+    table.setflags(write=False)
+    return table
 
 
-def _unit(dim, *axes):
-    return tuple(sum(int(t == a) for a in axes) for t in range(dim))
+def _shifted_moments(node_moments, order, dim):
+    """Moments m^(k + sigma) for every shift of _shift_tables, (n_sh * C, P)."""
+    n_ch = node_moments.shape[0]
+    table = _shift_tables(order, dim)
+    mom_pad = np.concatenate([node_moments, np.zeros((n_ch, 1))], axis=1)
+    return mom_pad[:, table].swapaxes(0, 1).reshape(-1, table.shape[1])
 
 
 def component_pairs(dim):
@@ -241,7 +306,7 @@ class GaussianGradProvider:
         s0 = node_moments @ table  # (C, F)
         out = np.empty((dim, node_moments.shape[0], targets.shape[0]))
         for s in range(dim):
-            s1 = mom_pad[:, fwd[_unit(dim, s)]] @ table
+            s1 = mom_pad[:, fwd[1 + s]] @ table
             out[s] = (u[:, s][None, :] * s0 + s1) / self.mol.eps
         return out
 
@@ -265,48 +330,48 @@ class KernelMatrixProvider:
     def far_contribution(self, targets, center, node_moments, order):
         """Moment-contracted expansion sums, shape (n_comp, C, F).
 
-        Works with moments shifted by the monomial prefactors so that only the
-        two radial coefficient tables are formed per cluster; the contraction
-        over multi-indices is a single matmul.
+        One |u|^gamma expansion serves every component. With the shifted
+        moment sums S_sigma = sum_k a^k m^(k + sigma) of that expansion,
+            Q_rs = u_r u_s S_0 + u_s S_(e_r) + u_r S_(e_s) + S_(e_r + e_s)
+        is the order-p truncation of the sum of (u + delta)_r (u + delta)_s
+        |u + delta|^gamma, so A_rr = B sum_(t != r) Q_tt and A_rs = -B Q_rs.
+        The S_sigma are products of the shifted moments with the cached
+        coefficient matrix and the per-target basis.
         """
         spec = self.spec
         dim = spec.dim
-        u = center[None, :] - targets
-        r2 = np.einsum("td,td->t", u, u)
+        ut = center[:, None] - targets.T
+        r2 = np.einsum("dt,dt->t", ut, ut)
         if np.any(r2 <= Z_FLOOR * Z_FLOOR):
             raise NearFieldError(
                 "collision-matrix expansion requested at near-zero range; "
                 "near-field pairs must use direct summation"
             )
-        bg = _radial_coeff_table(u, r2, spec.gamma, order)
-        bg2 = _radial_coeff_table(u, r2, spec.gamma + 2.0, order)
-        fwd = _shift_tables(order, dim)
         n_ch = node_moments.shape[0]
-        mom_pad = np.concatenate([node_moments, np.zeros((n_ch, 1))], axis=1)
-        shifts = list(fwd.keys())
-        stacked = np.concatenate([mom_pad[:, fwd[sh]] for sh in shifts], axis=0)
-        sums_g = (stacked @ bg).reshape(len(shifts), n_ch, -1)
-        s_of = {sh: i for i, sh in enumerate(shifts)}
-        s0 = sums_g[s_of[_unit(dim)]]
-        s2 = node_moments @ bg2  # only the unshifted moments pair with bg2
-        out = np.empty((self.n_outputs, n_ch, targets.shape[0]))
+        basis = _radial_basis(ut, r2, spec.prefactor * r2 ** (0.5 * spec.gamma), order)
+        weights = _shifted_moments(node_moments, order, dim) @ _radial_coeff_matrix(
+            spec.gamma, order, dim
+        )
+        # S_sigma has no terms of grade above p - |sigma|, and the basis is
+        # graded, so those terms are a dropped suffix
+        rows = np.cumsum([0, 1, dim, self.n_outputs]) * n_ch  # |sigma| = 0, 1, 2
+        n_cols = [math.comb(order - g + dim, dim) if g <= order else 0 for g in range(3)]
+        sums = np.empty((rows[-1], targets.shape[0]))
+        for lo, hi, n_col in zip(rows, rows[1:], n_cols):
+            np.matmul(weights[lo:hi, :n_col], basis[:n_col], out=sums[lo:hi])
+        sums = sums.reshape(-1, n_ch, targets.shape[0])
+        # v_r = u_r S_0 + S_(e_r), so Q_rs = u_s v_r + u_r S_(e_s) + S_(e_r + e_s)
+        v = ut[:, None, :] * sums[0]
+        v += sums[1 : 1 + dim]
+        q = sums[1 + dim :]
+        tmp = np.empty_like(sums[0])
         for c, (r, s) in enumerate(self.pairs):
-            ur = u[:, r][None, :]
-            if r == s:
-                out[c] = s2 - (
-                    ur * ur * s0
-                    + 2.0 * ur * sums_g[s_of[_unit(dim, r)]]
-                    + sums_g[s_of[_unit(dim, r, r)]]
-                )
-            else:
-                us = u[:, s][None, :]
-                out[c] = -(
-                    ur * us * s0
-                    + us * sums_g[s_of[_unit(dim, r)]]
-                    + ur * sums_g[s_of[_unit(dim, s)]]
-                    + sums_g[s_of[_unit(dim, r, s)]]
-                )
-        out *= spec.prefactor
+            q[c] += np.multiply(ut[s], v[r], out=tmp)
+            q[c] += np.multiply(ut[r], sums[1 + s], out=tmp)
+        out = np.empty_like(q)
+        for r in range(dim):
+            out[r] = sum(q[t] for t in range(dim) if t != r)
+        np.negative(q[dim:], out=out[dim:])
         return out
 
     def direct_sum(self, targets, sources, charges):
@@ -446,17 +511,15 @@ class ClusterMoments:
         self.n_channels = charges.shape[0]
         charges_perm = charges[:, tree.permutation]
         self.charges_perm = charges_perm
-        idx, pivot, im1, _ = _index_tables(order, tree.dim)
-        p_count = len(idx)
+        sources_t = tree.sources.T
+        grades = _grade_slices(order, tree.dim)
+        p_count = grades[-1].stop
         self.per_node = [None] * len(tree.nodes)
         for node in tree.nodes:
-            offs = tree.sources[node.start : node.end] - node.center
-            mono = np.empty((node.size, p_count))
-            mono[:, 0] = 1.0
-            for i in range(1, p_count):
-                s = pivot[i]
-                mono[:, i] = mono[:, im1[i, s]] * offs[:, s]
-            self.per_node[node.index] = charges_perm[:, node.start : node.end] @ mono
+            offs = sources_t[:, node.start : node.end] - node.center[:, None]
+            mono = np.empty((p_count, node.size))
+            _monomials(offs, 1.0, [mono[rows] for rows in grades])
+            self.per_node[node.index] = charges_perm[:, node.start : node.end] @ mono.T
 
 
 def compute_moments(tree, charges, order):

@@ -106,6 +106,42 @@ def collision_entry_longdouble(gamma, prefactor, r, s):
     return f
 
 
+def radial_taylor_coeffs_longdouble(u, beta, indices):
+    """Taylor coefficients a^k of |u + delta|^beta in delta, in long double.
+
+    indices lists the multi-indices k by nondecreasing |k|. Row by row, each
+    a^k follows from the Leibniz-differentiated identity
+    |u|^2 d_s f = beta u_s f (for any axis s with k_s >= 1):
+      |u|^2 a^k + (2 - (2+beta)/k_s) u_s a^(k-e_s)
+          + (1 - (2+beta)/k_s) a^(k-2e_s)
+          + sum_(t != s) [2 u_t a^(k-e_t) + a^(k-2e_t)] = 0,
+    with a^0 = |u|^beta. Returns a float array in the order of indices.
+    """
+    u = np.asarray(u, dtype=np.longdouble)
+    beta = np.longdouble(beta)
+    r2 = u @ u
+    coeff = {}
+
+    def at(k, t, amount):
+        if k[t] < amount:
+            return np.longdouble(0.0)
+        return coeff[k[:t] + (k[t] - amount,) + k[t + 1 :]]
+
+    for k in indices:
+        if sum(k) == 0:
+            coeff[k] = r2 ** (beta / 2)
+            continue
+        s = next(t for t in range(len(k)) if k[t] > 0)
+        c1 = 2 - (2 + beta) / k[s]
+        c2 = 1 - (2 + beta) / k[s]
+        acc = c1 * u[s] * at(k, s, 1) + c2 * at(k, s, 2)
+        for t in range(len(k)):
+            if t != s:
+                acc += 2 * u[t] * at(k, t, 1) + at(k, t, 2)
+        coeff[k] = -acc / r2
+    return np.array([float(coeff[k]) for k in indices])
+
+
 def naive_velocity_field(v, w, f, gamma, prefactor, z_floor=1e-12):
     """Plain O(N^2) double loop for U_i = -sum_j w_j A(v_i-v_j)(F_i-F_j)."""
     n, d = v.shape

@@ -9,6 +9,8 @@ import pytest
 from landau_particles import CollisionKernelSpec, Mollifier, ParticleEnsemble
 from landau_particles.particles import velocity_field_direct
 from landau_particles.treecode import (
+    _radial_basis,
+    _radial_coeff_matrix,
     ClusterTree,
     NearFieldError,
     TreecodeParams,
@@ -25,7 +27,12 @@ from landau_particles.treecode import (
     treecode_velocity_field,
 )
 
-from helpers import collision_entry_longdouble, gaussian_longdouble, taylor_coefficient
+from helpers import (
+    collision_entry_longdouble,
+    gaussian_longdouble,
+    radial_taylor_coeffs_longdouble,
+    taylor_coefficient,
+)
 
 
 def test_multi_indices_counts_and_grading():
@@ -239,6 +246,37 @@ def test_A_coeffs_match_finite_differences(gamma):
                 assert abs(coeffs[c, i] - fd) <= max(1e-5 * abs(fd), 1e-9 * scale)
 
 
+@pytest.mark.parametrize("gamma", [-3.0, -2.0, -1.0, 1.0])
+@pytest.mark.parametrize("order", [0, 1, 4, 6, 10])
+@pytest.mark.parametrize("dim", [3, 2])
+def test_radial_coeff_matrix_matches_row_recurrence(dim, order, gamma):
+    # a^k(u) = |u|^gamma sum C[k, col] basis[col](u) against the per-target
+    # row recurrence in long double; each a^k is compared in units of its
+    # natural size |u|^(gamma - |k|), relative to the largest of one target
+    rng = np.random.default_rng(41)
+    idx = multi_indices(order, dim)
+    grade = np.array([sum(k) for k in idx])
+    coeff = _radial_coeff_matrix(gamma, order, dim)
+    for radius in (0.3, 1.0, 2.7):
+        for _ in range(4):
+            u = rng.normal(size=dim)
+            u *= radius / np.linalg.norm(u)
+            r2 = np.array([u @ u])
+            basis = _radial_basis(u[:, None], r2, r2 ** (0.5 * gamma), order)
+            got = (coeff @ basis)[:, 0]
+            ref = radial_taylor_coeffs_longdouble(u, gamma, idx)
+            size = radius ** (grade - gamma)
+            assert np.max(np.abs(got - ref) * size) <= 1e-13 * np.max(np.abs(ref) * size)
+
+
+@pytest.mark.parametrize("dim", [3, 2])
+def test_radial_coeff_matrix_constant_for_gamma_zero(dim):
+    # |u|^0 = 1: every coefficient beyond the constant term vanishes exactly
+    coeff = _radial_coeff_matrix(0.0, 6, dim)
+    assert coeff[0, 0] == 1.0
+    assert np.all(coeff[1:] == 0.0)
+
+
 def test_A_coeffs_near_field_raises():
     spec = CollisionKernelSpec(gamma=-3.0, prefactor=1.0, dim=3)
     x = np.array([0.5, 0.5, 0.5])
@@ -391,6 +429,19 @@ def test_treecode_velocity_matches_direct(gamma):
     if gamma == 0.0:
         # polynomial kernel: routed to the direct engine's exact moment path
         assert np.array_equal(tc, direct)
+
+
+@pytest.mark.parametrize("gamma", [-2.0, -1.0, 1.0])
+@pytest.mark.parametrize("dim, n", [(3, 3000), (2, 1500)])
+def test_treecode_velocity_matches_direct_other_gammas(dim, n, gamma):
+    rng = np.random.default_rng(29)
+    spec = CollisionKernelSpec(gamma=gamma, prefactor=1 / 16, dim=dim)
+    ens, f = _random_ensemble_with_scores(rng, n, dim)
+    params = TreecodeParams(theta=0.5, order=6, leaf_capacity=48)
+    direct = velocity_field_direct(ens, f, spec)
+    tc = treecode_velocity_field(ens, f, spec, params)
+    assert np.linalg.norm(tc - direct) / np.linalg.norm(direct) < 1e-3
+    assert np.array_equal(treecode_velocity_field(ens, f, spec, params), tc)
 
 
 def test_treecode_velocity_momentum_bound():
