@@ -155,7 +155,7 @@ def _grade_tables(order, dim):
     for below, grade in zip(grades, grades[1:]):
         rows = np.arange(grade.start, grade.stop)
         tables.append((im1[rows, pivot[rows]] - below.start, pivot[rows]))
-    return tables
+    return tuple(tables)
 
 
 def _monomials(x, lead, grades):
