@@ -136,39 +136,34 @@ def _gaussian_coeff_table(u, mol, order):
 
 
 @functools.cache
-def _grade_slices(order, dim):
-    """Row slices of each grade of multi_indices(order, dim)."""
-    stops = [math.comb(g + dim, dim) for g in range(order + 1)]
-    return tuple(slice(a, b) for a, b in zip([0] + stops[:-1], stops))
-
-
-@functools.cache
 def _grade_tables(order, dim):
-    """Per grade g = 1..order of multi_indices: (parents, axes).
+    """Per grade g = 1..order of multi_indices: (rows, parents, axes).
 
-    Row i of grade g is x^k = x^(k - e_s) x_s with s = axes[i] the pivot of k
-    and k - e_s at row parents[i] of grade g - 1.
+    Row i of the slice rows is x^k = x^(k - e_s) x_s, with s = axes[i] the
+    pivot of k and k - e_s at row parents[i].
     """
     _, pivot, im1, _ = _index_tables(order, dim)
-    grades = _grade_slices(order, dim)
     tables = []
-    for below, grade in zip(grades, grades[1:]):
-        rows = np.arange(grade.start, grade.stop)
-        tables.append((im1[rows, pivot[rows]] - below.start, pivot[rows]))
+    for grade in range(1, order + 1):
+        rows = slice(math.comb(grade - 1 + dim, dim), math.comb(grade + dim, dim))
+        k = np.arange(rows.start, rows.stop)
+        tables.append((rows, im1[k, pivot[k]], pivot[k]))
     return tuple(tables)
 
 
-def _monomials(x, lead, grades):
-    """Fill grades[g] with lead * x^k for every |k| = g, g = 0..len(grades)-1.
+def _monomials(x, order, lead=1.0):
+    """lead * x^k for every |k| <= order of points x of shape (d, T).
 
-    x holds points as columns, shape (d, T); grades[g] is an output array of
-    shape (number of k with |k| = g, T), rows in multi_indices order; lead
-    (scalar or (T,)) is the row k = 0 and scales every row. Each grade is
-    one vectorised product with the grade below.
+    Returns (P, T), rows in multi_indices order; lead (scalar or (T,)) is the
+    row k = 0 and scales every row. Each grade is one vectorised product with
+    the grade below.
     """
-    grades[0][0] = lead
-    for g, (parents, axes) in enumerate(_grade_tables(len(grades) - 1, x.shape[0]), 1):
-        np.multiply(grades[g - 1][parents], x[axes], out=grades[g])
+    dim, t_count = x.shape
+    out = np.empty((math.comb(order + dim, dim), t_count))
+    out[0] = lead
+    for rows, parents, axes in _grade_tables(order, dim):
+        np.multiply(out[parents], x[axes], out=out[rows])
+    return out
 
 
 @functools.cache
@@ -215,17 +210,6 @@ def _radial_coeff_matrix(beta, order, dim):
     out = coeff[:, :p_count].astype(float)
     out.setflags(write=False)
     return out
-
-
-def _radial_basis(ut, r2, lead, order):
-    """Per-target basis lead * q^j, q = u / |u|^2, rows in multi_indices order.
-
-    ut is u transposed, shape (d, T); r2 = |u|^2; returns (P, T).
-    """
-    grades = _grade_slices(order, ut.shape[0])
-    basis = np.empty((grades[-1].stop, ut.shape[1]))
-    _monomials(ut / r2, lead, [basis[rows] for rows in grades])
-    return basis
 
 
 @functools.cache
@@ -348,7 +332,8 @@ class KernelMatrixProvider:
                 "near-field pairs must use direct summation"
             )
         n_ch = node_moments.shape[0]
-        basis = _radial_basis(ut, r2, spec.prefactor * r2 ** (0.5 * spec.gamma), order)
+        # a^k = r^gamma sum_j H[k, j] q^j, q = u / r^2; B r^gamma rides on q^0
+        basis = _monomials(ut / r2, order, spec.prefactor * r2 ** (0.5 * spec.gamma))
         weights = _shifted_moments(node_moments, order, dim) @ _radial_coeff_matrix(
             spec.gamma, order, dim
         )
@@ -512,13 +497,10 @@ class ClusterMoments:
         charges_perm = charges[:, tree.permutation]
         self.charges_perm = charges_perm
         sources_t = tree.sources.T
-        grades = _grade_slices(order, tree.dim)
-        p_count = grades[-1].stop
         self.per_node = [None] * len(tree.nodes)
         for node in tree.nodes:
             offs = sources_t[:, node.start : node.end] - node.center[:, None]
-            mono = np.empty((p_count, node.size))
-            _monomials(offs, 1.0, [mono[rows] for rows in grades])
+            mono = _monomials(offs, order)
             self.per_node[node.index] = charges_perm[:, node.start : node.end] @ mono.T
 
 

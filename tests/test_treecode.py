@@ -9,7 +9,7 @@ import pytest
 from landau_particles import CollisionKernelSpec, Mollifier, ParticleEnsemble
 from landau_particles.particles import velocity_field_direct
 from landau_particles.treecode import (
-    _radial_basis,
+    _monomials,
     _radial_coeff_matrix,
     ClusterTree,
     NearFieldError,
@@ -250,7 +250,7 @@ def test_A_coeffs_match_finite_differences(gamma):
 @pytest.mark.parametrize("order", [0, 1, 4, 6, 10])
 @pytest.mark.parametrize("dim", [3, 2])
 def test_radial_coeff_matrix_matches_row_recurrence(dim, order, gamma):
-    # a^k(u) = |u|^gamma sum C[k, col] basis[col](u) against the per-target
+    # a^k(u) = |u|^gamma sum_j H[k, j] q^j, q = u / |u|^2, against the per-target
     # row recurrence in long double; each a^k is compared in units of its
     # natural size |u|^(gamma - |k|), relative to the largest of one target
     rng = np.random.default_rng(41)
@@ -261,8 +261,8 @@ def test_radial_coeff_matrix_matches_row_recurrence(dim, order, gamma):
         for _ in range(4):
             u = rng.normal(size=dim)
             u *= radius / np.linalg.norm(u)
-            r2 = np.array([u @ u])
-            basis = _radial_basis(u[:, None], r2, r2 ** (0.5 * gamma), order)
+            r2 = u @ u
+            basis = _monomials(u[:, None] / r2, order, r2 ** (0.5 * gamma))
             got = (coeff @ basis)[:, 0]
             ref = radial_taylor_coeffs_longdouble(u, gamma, idx)
             size = radius ** (grade - gamma)
