@@ -25,6 +25,7 @@ from .particles import (
     EmptyEnsembleError,
     ParticleEnsemble,
     QuadratureGrid,
+    grid_fields,
     grid_log_density,
     init_from_density,
     min_pair_distance,

@@ -129,7 +129,8 @@ def blob_eval(ens, mol, points):
     """Blob reconstruction sum_i w_i psi_eps(p - v_i) at arbitrary points."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     v, w = ens.velocities, ens.weights
-    block = max(1, int(2.0e7 / max(ens.size, 1)))
+    # (block, N, d) temporaries of at most 2^17 d doubles each
+    block = max(1, 2**17 // ens.size)
     out = np.empty(points.shape[0])
     for lo in range(0, points.shape[0], block):
         psi = mollifier_eval(points[lo : lo + block, None, :] - v[None, :, :], mol)

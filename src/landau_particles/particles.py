@@ -6,10 +6,21 @@ centers v_l of grad psi_eps(x - v_l) * log(sum_k w_k psi_eps(v_l - v_k)), and
 the particle velocities are U_i = -sum_j w_j A(v_i - v_j) [F(v_i) - F(v_j)].
 
 All Gaussian grid sums factor over the tensor-product grid, so the density and
-score evaluations are organized as per-dimension factor matrices contracted by
-matmuls: the exact direct sums, reassociated. Cells whose density underflows in
-that fast path are recomputed with log-sum-exp and clamped at
-log(min w) - 745 so downstream products stay finite.
+score evaluations are organized as per-axis factor matrices
+exp(-(x_s - g_a)^2 / (2 eps)) contracted by matmuls: the exact direct sums,
+reassociated. grid_fields builds the particles' factor matrices once per step
+and shares them between the density and the score at the particles; both sums
+run over blocks of rows, so beyond the d factor matrices the working set stays
+small.
+
+Factors and weighted products below the smallest normal double DBL_MIN are
+set to exact zeros. On x86, subnormal results go through microcode assists,
+which made exp and the matmuls 3-4x slower on a 2-vCPU Intel Xeon VM. Each
+particle then loses at most DBL_MIN * max(norm_const w_k, 1) at a cell, so the
+fast-path density is used only where it exceeds 1e16 times the sum of these
+bounds (about 1e-288 for 6400 particles of mass <= 1/norm_const), which keeps
+it within about 1e-16 relative. Cells below that cutoff are recomputed with
+log-sum-exp and clamped at log(min w) - 745 so downstream products stay finite.
 
 The direct velocity sum is O(N) for gamma = 0 (global moments). Otherwise it
 visits each unordered pair once, in PAIR_TILE-square tiles: per pair a few
@@ -26,9 +37,19 @@ from scipy.special import logsumexp
 
 from .kernels import Z_FLOOR
 
-# Below this the fast-path density is considered underflowed and the cell is
-# recomputed in log space.
-_DENSITY_TINY = 1e-300
+# Smallest normal double (DBL_MIN); grid-sum values below it are flushed to
+# zero (see the module docstring).
+_TINY = np.finfo(float).tiny
+# exp(x) >= DBL_MIN for every x >= _LOG_TINY: exp(log(DBL_MIN)) rounds above it.
+_LOG_TINY = float(np.log(_TINY))
+
+# A fast-path density cell must exceed the mass dropped by flushing (see
+# _density_tiny) by this factor, else it is recomputed in log space.
+_FAST_PATH_MARGIN = 1e16
+
+# Rows per block of the grid sums times n^(d-1), so that a block's
+# (rows, n^(d-1)) arrays take 256 KB each; 2^14 to 2^16 ran fastest.
+_BLOCK = 2**15
 
 # Side of the square tiles of the gamma != 0 pair sweep. One tile pair holds
 # 2d + 3 (PAIR_TILE, PAIR_TILE) float arrays, about 1.2 MB in 3D, which stays
@@ -149,43 +170,63 @@ def init_from_density(density, grid, w_floor_rel=1e-15):
     return ParticleEnsemble(grid.centers[keep], w[keep])
 
 
-def _axis_factors(points_1d, axis, eps):
-    """exp(-(x - g_a)^2 / (2 eps)) for every point/axis-node pair, shape (P, n)."""
-    diff = points_1d[:, None] - axis[None, :]
-    return np.exp(-(diff * diff) / (2.0 * eps)), diff
+def _flush_subnormal(a):
+    """Set every entry of a with |a| < DBL_MIN to an exact zero, in place."""
+    np.multiply(a, np.abs(a) >= _TINY, out=a)
+    return a
 
 
-def mollified_grid_density(ens, grid, mol):
-    """Density sum_k w_k psi_eps(v_l^c - v_k) and its log at every cell.
+def _axis_factors(points, grid, mol):
+    """Per-axis Gaussian factors exp(-(x_s - g_a)^2 / (2 eps)) of every point.
 
-    Returns (density, log_density), both shape (n^d,). The log is computed from
-    the fast tensor-product sum where it does not underflow, by log-sum-exp
-    over per-particle exponents where it does, and is clamped below at
-    log(min w) - 745 so it is never -inf.
+    Returns d arrays of shape (P, n), one per axis. Exponents below log(DBL_MIN)
+    are set to -inf first, so exp returns an exact zero there and never a
+    subnormal.
     """
+    factors = []
+    for s in range(grid.dim):
+        expo = points[:, s, None] - grid.axis
+        expo *= expo
+        expo /= -2.0 * mol.eps
+        expo[expo < _LOG_TINY] = -np.inf
+        factors.append(np.exp(expo, out=expo))
+    return factors
+
+
+def _density_tiny(w, mol):
+    """Fast-path density below which a cell is recomputed in log space.
+
+    Flushing drops at most DBL_MIN * max(norm_const w_k, 1) per particle and
+    cell, so a fast-path cell above this cutoff is off by at most
+    1 / _FAST_PATH_MARGIN relative.
+    """
+    return _FAST_PATH_MARGIN * _TINY * float(np.sum(np.maximum(mol.norm_const * w, 1.0)))
+
+
+def _density(ens, grid, mol, factors):
+    """(density, log_density) at every cell from the particles' axis factors."""
     v, w = ens.velocities, ens.weights
-    axis = grid.axis
     n, d = grid.cells_per_dim, grid.dim
-    factors = [_axis_factors(v[:, s], axis, mol.eps)[0] for s in range(d)]  # (N, n) each
-    if d == 2:
-        dens = (factors[0] * w[:, None]).T @ factors[1]  # (n, n)
-    else:
-        dens = np.zeros((n, n, n))
-        pblock = max(1, int(2.5e7 / (n * n)))
-        for lo in range(0, ens.size, pblock):
-            sl = slice(lo, lo + pblock)
-            tail = (factors[1][sl, None, :] * factors[2][sl, :, None]) * w[sl, None, None]
-            # tail[k, c, b] = w_k E2[k,b] E3[k,c]; contract particles against E1
-            dens += np.tensordot(factors[0][sl], tail, axes=([0], [0])).transpose(0, 2, 1)
-    dens = dens.reshape(-1) * mol.norm_const
+    nw = mol.norm_const * w
+    dens = np.zeros((n, n ** (d - 1)))
+    block = max(1, _BLOCK // n ** (d - 1))
+    for lo in range(0, ens.size, block):
+        rows = slice(lo, lo + block)
+        # tail[k, (b, c)] = norm_const w_k E2[k, b] E3[k, c]; contract particles against E1
+        tail = _flush_subnormal(factors[-1][rows] * nw[rows, None])
+        if d == 3:
+            tail = _flush_subnormal(factors[1][rows, :, None] * tail[:, None, :])
+            tail = tail.reshape(-1, n * n)
+        dens += factors[0][rows].T @ tail
+    dens = _flush_subnormal(dens.reshape(-1))
 
     floor = np.log(w.min()) - 745.0
     log_dens = np.full(dens.shape, floor)
-    ok = dens > _DENSITY_TINY
+    ok = dens > _density_tiny(w, mol)
     log_dens[ok] = np.log(dens[ok])
     tiny = np.flatnonzero(~ok)
     if tiny.size:
-        # exact log-sum-exp over particles for the underflowed cells
+        # exact log-sum-exp over particles for the cells below the cutoff
         logw = np.log(w) + np.log(mol.norm_const)
         cblock = max(1, int(2.0e7 / ens.size))
         for lo in range(0, tiny.size, cblock):
@@ -199,50 +240,77 @@ def mollified_grid_density(ens, grid, mol):
     return dens, log_dens
 
 
+def _score(grid, mol, log_density, targets, factors=None):
+    """Score at the targets, in blocks of targets.
+
+    factors are the targets' axis factors when the caller already holds them
+    (the particles in grid_fields); otherwise each block builds its own.
+    """
+    n, d = grid.cells_per_dim, grid.dim
+    axis = grid.axis
+    ld = log_density.reshape((n,) * d)
+    t_total = targets.shape[0]
+    block = max(1, _BLOCK // n ** (d - 1))
+    out = np.empty((t_total, d))
+    for lo in range(0, t_total, block):
+        rows = slice(lo, lo + block)
+        if factors is None:
+            gs = _axis_factors(targets[rows], grid, mol)
+        else:
+            gs = [f[rows] for f in factors]
+        dgs = [
+            _flush_subnormal((targets[rows, s, None] - axis) * gs[s]) for s in range(d)
+        ]
+        if d == 2:
+            out[rows, 0] = np.einsum("ib,ib->i", dgs[0] @ ld, gs[1])
+            out[rows, 1] = np.einsum("ib,ib->i", gs[0] @ ld, dgs[1])
+        else:
+            t_d1 = np.tensordot(dgs[0], ld, axes=([1], [0]))  # (T, n, n)
+            t_g1 = np.tensordot(gs[0], ld, axes=([1], [0]))
+            out[rows, 0] = np.einsum("ic,ic->i", np.einsum("ibc,ib->ic", t_d1, gs[1]), gs[2])
+            out[rows, 1] = np.einsum("ic,ic->i", np.einsum("ibc,ib->ic", t_g1, dgs[1]), gs[2])
+            out[rows, 2] = np.einsum("ic,ic->i", np.einsum("ibc,ib->ic", t_g1, gs[1]), dgs[2])
+    out *= -grid.cell_volume * mol.norm_const / mol.eps
+    return _flush_subnormal(out)
+
+
+def mollified_grid_density(ens, grid, mol):
+    """Density sum_k w_k psi_eps(v_l^c - v_k) and its log at every cell.
+
+    Returns (density, log_density), both shape (n^d,). The log is computed from
+    the fast tensor-product sum where the density is above the flushing error
+    cutoff (see the module docstring), by log-sum-exp over per-particle
+    exponents where it is not, and is clamped below at log(min w) - 745 so it
+    is never -inf.
+    """
+    return _density(ens, grid, mol, _axis_factors(ens.velocities, grid, mol))
+
+
 def grid_log_density(ens, grid, mol):
     """log(sum_k w_k psi_eps(v_l^c - v_k)) per cell, underflow clamped."""
     return mollified_grid_density(ens, grid, mol)[1]
 
 
-def score_field(ens, grid, mol, targets, log_density=None):
+def score_field(ens, grid, mol, targets):
     """Entropy score F(x) = sum_l h^d grad psi_eps(x - v_l^c) log density_l.
 
     Evaluates the midpoint-quadrature sum over all grid cells at each target,
-    shape (T, d). Pass a precomputed log_density to reuse the per-step cache.
+    shape (T, d).
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    if log_density is None:
-        log_density = grid_log_density(ens, grid, mol)
-    axis = grid.axis
-    n, d = grid.cells_per_dim, grid.dim
-    scale = grid.cell_volume * mol.norm_const / mol.eps
-    t_total = targets.shape[0]
-    block = max(1, int(1.5e7 / max(n ** (d - 1), 1)))
-    out = np.empty((t_total, d))
-    ld = log_density.reshape((n,) * d)
-    for lo in range(0, t_total, block):
-        x = targets[lo : lo + block]
-        gs, diffs = [], []
-        for s in range(d):
-            g, diff = _axis_factors(x[:, s], axis, mol.eps)
-            gs.append(g)
-            diffs.append(diff * g)
-        if d == 2:
-            out[lo : lo + block, 0] = -scale * np.sum((diffs[0] @ ld) * gs[1], axis=1)
-            out[lo : lo + block, 1] = -scale * np.sum((gs[0] @ ld) * diffs[1], axis=1)
-        else:
-            t_d1 = np.tensordot(diffs[0], ld, axes=([1], [0]))  # (T, n, n)
-            t_g1 = np.tensordot(gs[0], ld, axes=([1], [0]))
-            out[lo : lo + block, 0] = -scale * np.einsum(
-                "ic,ic->i", np.einsum("ibc,ib->ic", t_d1, gs[1]), gs[2]
-            )
-            out[lo : lo + block, 1] = -scale * np.einsum(
-                "ic,ic->i", np.einsum("ibc,ib->ic", t_g1, diffs[1]), gs[2]
-            )
-            out[lo : lo + block, 2] = -scale * np.einsum(
-                "ic,ic->i", np.einsum("ibc,ib->ic", t_g1, gs[1]), diffs[2]
-            )
-    return out
+    return _score(grid, mol, grid_log_density(ens, grid, mol), targets)
+
+
+def grid_fields(ens, grid, mol):
+    """((density, log_density), scores at the particles) for one step.
+
+    Bit-identical to mollified_grid_density(ens, grid, mol) together with
+    score_field(ens, grid, mol, ens.velocities), with the particles' axis
+    factors built once and shared by both sums.
+    """
+    factors = _axis_factors(ens.velocities, grid, mol)
+    density_pair = _density(ens, grid, mol, factors)
+    return density_pair, _score(grid, mol, density_pair[1], ens.velocities, factors)
 
 
 def velocity_field_direct(ens, scores, spec):

@@ -24,10 +24,9 @@ from .exact import bimaxwellian_init, bkw_eval, bkw_params, maxwellian, rosenblu
 from .kernels import CollisionKernelSpec, Mollifier
 from .particles import (
     QuadratureGrid,
+    grid_fields,
     init_from_density,
     min_pair_distance,
-    mollified_grid_density,
-    score_field,
     velocity_field_direct,
 )
 from .treecode import TreecodeParams, treecode_velocity_field
@@ -190,8 +189,7 @@ def check_domain(ens, half_width):
 
 def _step_fields(ens, grid, mol, spec, engine):
     """Per-step evaluations shared by stepping and diagnostics."""
-    density_pair = mollified_grid_density(ens, grid, mol)
-    scores = score_field(ens, grid, mol, ens.velocities, log_density=density_pair[1])
+    density_pair, scores = grid_fields(ens, grid, mol)
     velocities = engine(ens, scores, spec)
     return density_pair, scores, velocities
 

@@ -13,6 +13,7 @@ from landau_particles import (
     QuadratureGrid,
     bkw_eval,
     bkw_params,
+    grid_fields,
     grid_log_density,
     init_from_density,
     maxwellian,
@@ -21,7 +22,12 @@ from landau_particles import (
     score_field,
     velocity_field_direct,
 )
-from landau_particles.particles import PAIR_TILE
+from landau_particles.particles import (
+    PAIR_TILE,
+    _axis_factors,
+    _density_tiny,
+    mollified_grid_density,
+)
 
 from helpers import naive_velocity_field
 
@@ -102,23 +108,49 @@ def test_grid_log_density_symmetric_pair_is_even():
     assert np.allclose(vals, flipped, rtol=0, atol=1e-14)
 
 
+def _naive_log_density(ens, grid, mol):
+    """log(sum_k w_k psi_eps(v_l - v_k)) per cell, summed in extended precision."""
+    cells = grid.centers.astype(np.longdouble)
+    v = ens.velocities.astype(np.longdouble)
+    w = ens.weights.astype(np.longdouble)
+    r2 = np.sum((cells[:, None, :] - v[None, :, :]) ** 2, axis=-1)
+    terms = w * np.longdouble(mol.norm_const) * np.exp(-r2 / (2 * np.longdouble(mol.eps)))
+    with np.errstate(divide="ignore"):
+        return np.log(np.sum(terms, axis=1))
+
+
+def _assert_log_density_matches_naive(ens, grid, mol):
+    vals = grid_log_density(ens, grid, mol)
+    naive = _naive_log_density(ens, grid, mol)
+    floor = np.log(ens.weights.min()) - 745.0
+    assert np.allclose(vals, np.maximum(naive, floor).astype(float), rtol=0, atol=1e-12)
+    return naive, floor
+
+
 def test_grid_log_density_matches_extended_precision_naive():
     rng = np.random.default_rng(21)
     grid = QuadratureGrid(dim=2, half_width=4.0, cells_per_dim=15)
     mol = Mollifier(eps=0.21, dim=2)
-    ens = random_ensemble(rng, 50, 2)
-    vals = grid_log_density(ens, grid, mol)
-    cells = grid.centers.astype(np.longdouble)
-    v = ens.velocities.astype(np.longdouble)
-    w = ens.weights.astype(np.longdouble)
-    norm = np.longdouble(mol.norm_const)
-    for l in range(grid.num_cells):
-        terms = w * norm * np.exp(
-            -np.sum((cells[l] - v) ** 2, axis=-1) / (2 * np.longdouble(mol.eps))
-        )
-        total = np.sum(terms)
-        if total > np.longdouble(1e-280):
-            assert vals[l] == pytest.approx(float(np.log(total)), rel=0, abs=1e-12)
+    _assert_log_density_matches_naive(random_ensemble(rng, 50, 2), grid, mol)
+
+
+def test_grid_log_density_exact_on_both_sides_of_fast_path_cutoff():
+    # A cluster in one corner of a wide box: the density spans the fast-path
+    # cutoff, and far cells lie below the clamp floor. Near cell c, particle a
+    # contributes just under DBL_MIN through a factor that is flushed, and
+    # particle b a density above 1e-300 that is still below the cutoff, so a
+    # lower cutoff shows a 1e-8 error there.
+    rng = np.random.default_rng(21)
+    grid = QuadratureGrid(dim=2, half_width=10.0, cells_per_dim=64)
+    mol = Mollifier(eps=0.05, dim=2)
+    c = grid.axis[[12, 12]]
+    v = np.vstack([8.0 + 0.3 * rng.normal(size=(6, 2)), c + [8.42, 0.0], c + [5.87, 5.87]])
+    ens = ParticleEnsemble(v, np.append(rng.uniform(0.1, 1.0, 6), [1.0, 1.0]))
+    naive, floor = _assert_log_density_matches_naive(ens, grid, mol)
+    cut = np.log(_density_tiny(ens.weights, mol))
+    assert np.sum((naive > floor) & (naive <= cut)) > 10
+    assert np.sum((naive > cut) & (naive < cut + 20.0)) > 10
+    assert np.log(1e-300) < naive[12 * 64 + 12] < cut
 
 
 def test_grid_log_density_weight_doubling_adds_log2():
@@ -220,6 +252,49 @@ def test_score_field_permutation_invariant():
     a = score_field(ens, grid, mol, targets)
     b = score_field(shuffled, grid, mol, targets)
     assert np.allclose(a, b, rtol=1e-13, atol=1e-15)
+
+
+def _spread_ensemble(rng, dim, n, grid):
+    """Particles over [-1.5 L, 1.5 L]^d, so some lie outside the grid."""
+    v = rng.uniform(-1.5, 1.5, size=(n, dim)) * grid.half_width
+    return ParticleEnsemble(v, rng.uniform(1e-12, 1.0, size=n) / n)
+
+
+@pytest.mark.parametrize("dim,n_cells,n_particles", [(2, 64, 1500), (3, 12, 700)])
+def test_grid_fields_bit_identical_to_separate_sums(dim, n_cells, n_particles):
+    # more particles than one block of the grid sums holds, in 2D and 3D
+    rng = np.random.default_rng(40 + dim)
+    grid = QuadratureGrid(dim=dim, half_width=2.0, cells_per_dim=n_cells)
+    mol = Mollifier(eps=0.64 * grid.spacing**1.98, dim=dim)
+    ens = _spread_ensemble(rng, dim, n_particles, grid)
+    assert np.any(np.abs(ens.velocities) > grid.half_width)
+    (dens, log_dens), scores = grid_fields(ens, grid, mol)
+    ref_dens, ref_log = mollified_grid_density(ens, grid, mol)
+    assert np.array_equal(dens, ref_dens)
+    assert np.array_equal(log_dens, ref_log)
+    assert np.array_equal(scores, score_field(ens, grid, mol, ens.velocities))
+    (dens2, log_dens2), scores2 = grid_fields(ens, grid, mol)
+    assert np.array_equal(dens2, dens)
+    assert np.array_equal(log_dens2, log_dens)
+    assert np.array_equal(scores2, scores)
+
+
+@pytest.mark.parametrize("dim,n_cells", [(2, 40), (3, 40)])
+def test_grid_sums_hold_no_subnormals(dim, n_cells):
+    rng = np.random.default_rng(50 + dim)
+    grid = QuadratureGrid(dim=dim, half_width=4.0, cells_per_dim=n_cells)
+    mol = Mollifier(eps=0.64 * grid.spacing**1.98, dim=dim)
+    ens = _spread_ensemble(rng, dim, 400, grid)
+    tiny = np.finfo(float).tiny
+    # the unflushed factors would include subnormals
+    diff = ens.velocities[:, :, None] - grid.axis
+    raw = -(diff * diff) / (2.0 * mol.eps)
+    assert np.any((raw > -745.0) & (raw < np.log(tiny)))
+    factors = _axis_factors(ens.velocities, grid, mol)
+    (dens, log_dens), scores = grid_fields(ens, grid, mol)
+    for a in [*factors, dens, log_dens, scores]:
+        assert not np.any((np.abs(a) > 0) & (np.abs(a) < tiny))
+    assert np.all(factors[0][raw[:, 0] < np.log(tiny)] == 0.0)
 
 
 def test_velocity_field_single_particle_is_zero():
