@@ -240,12 +240,8 @@ def _density(ens, grid, mol, factors):
     return dens, log_dens
 
 
-def _score(grid, mol, log_density, targets, factors=None):
-    """Score at the targets, in blocks of targets.
-
-    factors are the targets' axis factors when the caller already holds them
-    (the particles in grid_fields); otherwise each block builds its own.
-    """
+def _score(grid, mol, log_density, targets, factors):
+    """Score at the targets from their axis factors, in blocks of targets."""
     n, d = grid.cells_per_dim, grid.dim
     axis = grid.axis
     ld = log_density.reshape((n,) * d)
@@ -254,10 +250,7 @@ def _score(grid, mol, log_density, targets, factors=None):
     out = np.empty((t_total, d))
     for lo in range(0, t_total, block):
         rows = slice(lo, lo + block)
-        if factors is None:
-            gs = _axis_factors(targets[rows], grid, mol)
-        else:
-            gs = [f[rows] for f in factors]
+        gs = [f[rows] for f in factors]
         dgs = [
             _flush_subnormal((targets[rows, s, None] - axis) * gs[s]) for s in range(d)
         ]
@@ -298,7 +291,8 @@ def score_field(ens, grid, mol, targets):
     shape (T, d).
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    return _score(grid, mol, grid_log_density(ens, grid, mol), targets)
+    log_density = grid_log_density(ens, grid, mol)
+    return _score(grid, mol, log_density, targets, _axis_factors(targets, grid, mol))
 
 
 def grid_fields(ens, grid, mol):
