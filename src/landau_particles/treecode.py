@@ -151,15 +151,16 @@ def _grade_tables(order, dim):
     return tuple(tables)
 
 
-def _monomials(x, order, lead=1.0):
+def _monomials(x, order, lead=1.0, out=None):
     """lead * x^k for every |k| <= order of points x of shape (d, T).
 
-    Returns (P, T), rows in multi_indices order; lead (scalar or (T,)) is the
-    row k = 0 and scales every row. Each grade is one vectorised product with
-    the grade below.
+    Returns (P, T), rows in multi_indices order, written to out when given;
+    lead (scalar or (T,)) is the row k = 0 and scales every row. Each grade is
+    one vectorised product with the grade below.
     """
     dim, t_count = x.shape
-    out = np.empty((math.comb(order + dim, dim), t_count))
+    if out is None:
+        out = np.empty((math.comb(order + dim, dim), t_count))
     out[0] = lead
     for rows, parents, axes in _grade_tables(order, dim):
         np.multiply(out[parents], x[axes], out=out[rows])
@@ -310,6 +311,19 @@ class KernelMatrixProvider:
         self.spec = spec
         self.pairs = component_pairs(spec.dim)
         self.n_outputs = len(self.pairs)
+        # far_contribution writes its (P, T) basis and its moment sums into
+        # tables kept here, so a traversal allocates them only when T grows.
+        # Fresh multi-MB tables per cluster came as fresh pages from the OS
+        # whenever the allocator's state let it return them (13-15k minor
+        # page faults per evaluation at N = 2608).
+        self._scratch = {}
+
+    def _table(self, name, rows, cols):
+        """A (rows, cols) scratch table, reused by later far_contribution calls."""
+        buf = self._scratch.get(name)
+        if buf is None or buf.size < rows * cols:
+            buf = self._scratch[name] = np.empty(rows * cols)
+        return buf[: rows * cols].reshape(rows, cols)
 
     def far_contribution(self, targets, center, node_moments, order):
         """Moment-contracted expansion sums, shape (n_comp, C, F).
@@ -333,7 +347,11 @@ class KernelMatrixProvider:
             )
         n_ch = node_moments.shape[0]
         # a^k = r^gamma sum_j H[k, j] q^j, q = u / r^2; B r^gamma rides on q^0
-        basis = _monomials(ut / r2, order, spec.prefactor * r2 ** (0.5 * spec.gamma))
+        t_count = targets.shape[0]
+        basis = _monomials(
+            ut / r2, order, spec.prefactor * r2 ** (0.5 * spec.gamma),
+            out=self._table("basis", math.comb(order + dim, dim), t_count),
+        )
         weights = _shifted_moments(node_moments, order, dim) @ _radial_coeff_matrix(
             spec.gamma, order, dim
         )
@@ -341,10 +359,10 @@ class KernelMatrixProvider:
         # graded, so those terms are a dropped suffix
         rows = np.cumsum([0, 1, dim, self.n_outputs]) * n_ch  # |sigma| = 0, 1, 2
         n_cols = [math.comb(order - g + dim, dim) if g <= order else 0 for g in range(3)]
-        sums = np.empty((rows[-1], targets.shape[0]))
+        sums = self._table("sums", rows[-1], t_count)
         for lo, hi, n_col in zip(rows, rows[1:], n_cols):
             np.matmul(weights[lo:hi, :n_col], basis[:n_col], out=sums[lo:hi])
-        sums = sums.reshape(-1, n_ch, targets.shape[0])
+        sums = sums.reshape(-1, n_ch, t_count)
         # v_r = u_r S_0 + S_(e_r), so Q_rs = u_s v_r + u_r S_(e_s) + S_(e_r + e_s)
         v = ut[:, None, :] * sums[0]
         v += sums[1 : 1 + dim]

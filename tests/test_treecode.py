@@ -341,6 +341,24 @@ def test_treecode_sum_theta_zero_is_direct(kind, rtol):
     assert np.allclose(got, direct, rtol=rtol, atol=1e-300)
 
 
+def test_kernel_far_contribution_reuses_scratch_without_aliasing():
+    # one provider serves far sums of growing and shrinking target sets; each
+    # result equals a fresh provider's and survives the provider's later calls
+    rng = np.random.default_rng(8)
+    spec = CollisionKernelSpec(gamma=-3.0, prefactor=1 / (4 * np.pi), dim=3)
+    center = np.zeros(3)
+    moments = rng.standard_normal((4, math.comb(6 + 3, 3)))
+    targets = rng.uniform(2.0, 3.0, size=(60, 3))
+    provider = KernelMatrixProvider(spec)
+    kept = []
+    for count in (20, 60, 5, 60, 33):
+        got = provider.far_contribution(targets[:count], center, moments, 6)
+        fresh = KernelMatrixProvider(spec).far_contribution(targets[:count], center, moments, 6)
+        assert np.array_equal(got, fresh)
+        kept.append((got, got.copy()))
+    assert all(np.array_equal(a, b) for a, b in kept)
+
+
 def test_treecode_sum_monopole_far_cluster():
     # zeroth-order expansion of one far cluster is phi(x, y_c) * sum(q)
     rng = np.random.default_rng(8)
