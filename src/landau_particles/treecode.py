@@ -305,7 +305,11 @@ class GaussianGradProvider:
 
 
 class KernelMatrixProvider:
-    """Channels: the independent components of A(x - y), diagonal entries first."""
+    """Channels: the independent components of A(x - y), diagonal entries first.
+
+    far_contribution reuses scratch tables held by the provider, so one
+    provider serves one traversal at a time.
+    """
 
     def __init__(self, spec):
         self.spec = spec
