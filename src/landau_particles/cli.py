@@ -73,6 +73,7 @@ def cmd_run(args):
 
     print(f"running {args.config} with engine={cfg.engine} "
           f"(n={cfg.cells_per_dim}, d={cfg.dim}, dt={cfg.dt}, t=[{cfg.t_start}, {cfg.t_end}])")
+    started = time.time()
     t0 = time.perf_counter()
     result = run(cfg, on_snapshot=on_snapshot, progress=_progress_printer(cfg.snapshot_stride))
     wall = time.perf_counter() - t0
@@ -86,7 +87,7 @@ def cmd_run(args):
     outputs.append(cfg_path)
     manifest = RunManifest(
         config_text=emit_config(cfg), version=__version__, wall_seconds=wall,
-        outputs=outputs,
+        started_unix=started, outputs=outputs,
     )
     manifest_path = os.path.join(outdir, "manifest.json")
     manifest.write(manifest_path)

@@ -15,7 +15,7 @@ Presets: bkw2d, bkw3d, maxwellian2d, bimaxwellian, rosenbluth.
 import configparser
 import io
 import math
-from dataclasses import fields, replace
+from dataclasses import MISSING, fields, replace
 
 from .simulate import SimulationConfig
 
@@ -67,32 +67,20 @@ _SECTION_KEYS = {
     "engine": ("engine", "theta", "order", "leaf_capacity"),
 }
 
-_INT_KEYS = {"dim", "cells_per_dim", "snapshot_stride", "order", "leaf_capacity"}
-_FLOAT_KEYS = {
-    "half_width", "dt", "t_start", "t_end", "eps_coeff", "eps_power", "gamma",
-    "prefactor", "theta", "bkw_integration_const", "rosenbluth_sigma",
-    "rosenbluth_sharpness",
-}
-_BOOL_KEYS = {"deterministic"}
-_STR_KEYS = {"preset", "initial_condition", "engine", "relative_entropy_reference"}
-
-_KEY_SECTION = {k: sec for sec, keys in _SECTION_KEYS.items() for k in keys}
+# Value type of every key: the SimulationConfig field annotation.
+_KEY_TYPES = {f.name: f.type for f in fields(SimulationConfig)} | {"preset": str}
 
 
 def _coerce(key, raw):
     raw = raw.strip()
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _BOOL_KEYS:
+        if _KEY_TYPES[key] is bool:
             if raw.lower() in ("true", "yes", "1", "on"):
                 return True
             if raw.lower() in ("false", "no", "0", "off"):
                 return False
             raise ValueError(raw)
-        return raw
+        return _KEY_TYPES[key](raw)
     except ValueError as exc:
         raise ConfigError(f"cannot parse value {raw!r} for key {key!r}") from exc
 
@@ -140,18 +128,14 @@ def parse_config(text):
         cfg = preset(preset_name)
         cfg = replace(cfg, **entries)
     else:
-        field_names = {f.name for f in fields(SimulationConfig)}
-        required = {
-            "dim", "half_width", "cells_per_dim", "dt", "t_start", "t_end",
-            "gamma", "prefactor", "initial_condition",
-        }
+        required = {f.name for f in fields(SimulationConfig) if f.default is MISSING}
         missing = required - set(entries)
         if missing:
             raise ConfigError(
                 "no preset given and required keys missing: "
                 + ", ".join(sorted(missing))
             )
-        cfg = SimulationConfig(**{k: v for k, v in entries.items() if k in field_names})
+        cfg = SimulationConfig(**entries)
     return cfg.validate()
 
 

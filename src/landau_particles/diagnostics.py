@@ -5,7 +5,8 @@ The discrete entropy is the midpoint-quadrature sum of g log g for the
 mollified particle density g on the fixed grid, and the dissipation is the
 nonnegative quadratic form pairing score differences through the collision
 matrix. Blob reconstruction convolves the particle measure with the mollifier
-for visualization and error norms.
+for visualization and error norms. Both reuse the solver's kernels (the pair
+tiles and the per-axis Gaussian factors of particles), in bounded memory.
 """
 
 import math
@@ -13,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import Z_FLOOR, mollifier_eval
-from .particles import mollified_grid_density
+from .particles import _flush_subnormal, _gauss_factors, _pair_tiles, mollified_grid_density
 
 
 @dataclass
@@ -92,28 +92,19 @@ def dissipation(ens, scores, spec):
     """Entropy dissipation 0.5 sum_ij w_i w_j (F_i - F_j) . A(v_i - v_j) (F_i - F_j).
 
     Nonnegative up to rounding since A is PSD; pairs within Z_FLOOR are skipped.
+    Summed once per unordered pair of tiles, in O(N + PAIR_TILE^2) memory.
     """
     v, w = ens.velocities, ens.weights
     f = np.asarray(scores, dtype=float)
-    n = ens.size
-    block = max(1, int(2.4e7 / max(n * ens.dim, 1)))
-    half_gamma = 0.5 * spec.gamma
+    d = ens.dim
     total = 0.0
-    for lo in range(0, n, block):
-        z = v[lo : lo + block, None, :] - v[None, :, :]
-        r2 = np.einsum("tjd,tjd->tj", z, z)
-        near = r2 <= Z_FLOOR * Z_FLOOR
-        if spec.gamma == 0.0:
-            ag = np.where(near, 0.0, spec.prefactor)
-        else:
-            ag = spec.prefactor * np.where(near, 1.0, r2) ** half_gamma
-            ag[near] = 0.0
-        df = f[lo : lo + block, None, :] - f[None, :, :]
-        zdf = np.einsum("tjd,tjd->tj", z, df)
-        df2 = np.einsum("tjd,tjd->tj", df, df)
-        quad = ag * (r2 * df2 - zdf * zdf)
-        total += float(w[lo : lo + block] @ quad @ w)
-    return 0.5 * total
+    for rows_i, rows_j, diffs, pair, k0 in _pair_tiles(v, f, spec.gamma):
+        r2, zdf = pair
+        df2 = np.einsum("sij,sij->ij", diffs[d:], diffs[d:])
+        quad = k0 * (r2 * df2 - zdf * zdf)
+        tile = float(w[rows_i] @ quad @ w[rows_j])
+        total += tile if rows_i == rows_j else 2.0 * tile
+    return 0.5 * spec.prefactor * total
 
 
 def dissipation_from_velocities(ens, scores, velocities):
@@ -126,15 +117,23 @@ def dissipation_from_velocities(ens, scores, velocities):
 
 
 def blob_eval(ens, mol, points):
-    """Blob reconstruction sum_i w_i psi_eps(p - v_i) at arbitrary points."""
+    """Blob reconstruction sum_i w_i psi_eps(p - v_i) at arbitrary points.
+
+    Products of the per-axis Gaussian factors, flushed below DBL_MIN as in the
+    grid sums, in (points, N) blocks of at most 2^17 doubles.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    v, w = ens.velocities, ens.weights
-    # (block, N, d) temporaries of at most 2^17 d doubles each
+    v = ens.velocities
+    nw = mol.norm_const * ens.weights
     block = max(1, 2**17 // ens.size)
     out = np.empty(points.shape[0])
     for lo in range(0, points.shape[0], block):
-        psi = mollifier_eval(points[lo : lo + block, None, :] - v[None, :, :], mol)
-        out[lo : lo + block] = psi @ w
+        pts = points[lo : lo + block]
+        psi = _gauss_factors(pts[:, 0], v[:, 0], mol)
+        for s in range(1, ens.dim):
+            psi *= _gauss_factors(pts[:, s], v[:, s], mol)
+            _flush_subnormal(psi)
+        out[lo : lo + block] = psi @ nw
     return out
 
 

@@ -5,7 +5,6 @@ files parse back bit-exactly and deterministic reruns are byte-identical.
 """
 
 import json
-import time as _time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,8 +125,8 @@ class RunManifest:
     config_text: str
     version: str
     wall_seconds: float
+    started_unix: float
     outputs: list = field(default_factory=list)
-    started_unix: float = field(default_factory=_time.time)
 
     def write(self, path):
         payload = {

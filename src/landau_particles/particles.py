@@ -19,14 +19,15 @@ which made exp and the matmuls 3-4x slower on a 2-vCPU Intel Xeon VM. Each
 particle then loses at most DBL_MIN * max(norm_const w_k, 1) at a cell, so the
 fast-path density is used only where it exceeds 1e16 times the sum of these
 bounds (about 1e-288 for 6400 particles of mass <= 1/norm_const), which keeps
-it within about 1e-16 relative. Cells below that cutoff are recomputed with
-log-sum-exp and clamped at log(min w) - 745 so downstream products stay finite.
+it within about 1e-16 relative. Cells below that cutoff are recomputed by
+log-sum-exp of the per-axis exponents, in (cells, N) blocks of at most 2^20
+doubles, and clamped at log(min w) - 745 so downstream products stay finite.
 
 The direct velocity sum is O(N) for gamma = 0 (global moments). Otherwise it
 visits each unordered pair once, in PAIR_TILE-square tiles: per pair a few
 elementwise passes and one power, contracted by small matrix products (about
 20 ns per unordered pair on one core of a 2-vCPU Intel Xeon VM), with
-O(N + PAIR_TILE^2) memory.
+O(N + PAIR_TILE^2) memory; diagnostics.dissipation sums over the same tiles.
 """
 
 from dataclasses import dataclass, field
@@ -176,21 +177,25 @@ def _flush_subnormal(a):
     return a
 
 
-def _axis_factors(points, grid, mol):
-    """Per-axis Gaussian factors exp(-(x_s - g_a)^2 / (2 eps)) of every point.
+def _gauss_exponents(x, y, mol):
+    """Gaussian exponents -(x_p - y_a)^2 / (2 eps) of coordinates, shape (P, A)."""
+    expo = x[:, None] - y
+    expo *= expo
+    expo /= -2.0 * mol.eps
+    return expo
 
-    Returns d arrays of shape (P, n), one per axis. Exponents below log(DBL_MIN)
-    are set to -inf first, so exp returns an exact zero there and never a
-    subnormal.
-    """
-    factors = []
-    for s in range(grid.dim):
-        expo = points[:, s, None] - grid.axis
-        expo *= expo
-        expo /= -2.0 * mol.eps
-        expo[expo < _LOG_TINY] = -np.inf
-        factors.append(np.exp(expo, out=expo))
-    return factors
+
+def _gauss_factors(x, y, mol):
+    """exp of _gauss_exponents; exponents below log(DBL_MIN) are set to -inf
+    first, so exp returns an exact zero there and never a subnormal."""
+    expo = _gauss_exponents(x, y, mol)
+    expo[expo < _LOG_TINY] = -np.inf
+    return np.exp(expo, out=expo)
+
+
+def _axis_factors(points, grid, mol):
+    """Gaussian factors of every point against the grid axis: d arrays (P, n)."""
+    return [_gauss_factors(points[:, s], grid.axis, mol) for s in range(grid.dim)]
 
 
 def _density_tiny(w, mol):
@@ -227,15 +232,15 @@ def _density(ens, grid, mol, factors):
     tiny = np.flatnonzero(~ok)
     if tiny.size:
         # exact log-sum-exp over particles for the cells below the cutoff
-        logw = np.log(w) + np.log(mol.norm_const)
-        cblock = max(1, int(2.0e7 / ens.size))
+        expos = [_gauss_exponents(grid.axis, v[:, s], mol) for s in range(d)]
+        lognw = np.log(nw)
+        cblock = max(1, 2**20 // ens.size)
         for lo in range(0, tiny.size, cblock):
             idx = tiny[lo : lo + cblock]
-            cells = grid.centers[idx]
-            expo = logw[None, :] - (
-                np.sum((cells[:, None, :] - v[None, :, :]) ** 2, axis=-1)
-                / (2.0 * mol.eps)
-            )
+            rows = np.unravel_index(idx, (n,) * d)
+            expo = lognw + expos[0][rows[0]]
+            for s in range(1, d):
+                expo += expos[s][rows[s]]
             log_dens[idx] = np.maximum(logsumexp(expo, axis=1), floor)
     return dens, log_dens
 
@@ -330,17 +335,12 @@ def velocity_field_direct(ens, scores, spec):
     return _velocity_field_pairs(v, w, f, spec.gamma, spec.prefactor)
 
 
-def _velocity_field_pairs(v, w, f, gamma, prefactor):
-    """Symmetric tiled O(N^2) pair sum for gamma != 0.
+def _pair_tiles(v, f, gamma):
+    """Sweep every unordered pair once, in PAIR_TILE-square tiles I <= J.
 
-    With z = v_i - v_j, dF = F_i - F_j, k0 = |z|^gamma (0 for |z| <= Z_FLOOR),
-    k1 = k0 |z|^2 and g = k0 (z . dF),
-      U_i = -B [(F_i sum_j k1 w_j - sum_j k1 w_j F_j)
-                - (v_i sum_j g w_j - sum_j g w_j v_j)].
-    k1 and g are symmetric in (i, j), so each tile pair I <= J is evaluated
-    once: rows I contract the (I, J) tiles against B w_J [1, F_J] and
-    B w_J [1, v_J], rows J contract their transposes against the I rows.
-    z and dF are formed exactly per pair, so close pairs lose no precision.
+    Yields (rows_i, rows_j, diffs, pair, k0): the exact z = v_i - v_j then
+    dF = F_i - F_j per component (2d, ti, tj), |z|^2 and z . dF (2, ti, tj),
+    and k0 = |z|^gamma, 0 for |z| <= Z_FLOOR; buffers reused by the next tile.
     """
     n, d = v.shape
     # Over a tile, the pairwise differences a_i - b_j of each component of v
@@ -350,12 +350,6 @@ def _velocity_field_pairs(v, w, f, gamma, prefactor):
     comp = np.concatenate([v.T, f.T])  # (2d, N)
     left = np.stack([comp, np.ones_like(comp)], axis=-1)  # (2d, N, 2)
     right = np.stack([np.ones_like(comp), -comp], axis=1)  # (2d, 2, N)
-    bw = prefactor * w
-    weights = np.stack([  # (2, N, d+1): B w [1, F] and B w [1, v]
-        np.column_stack([bw, bw[:, None] * f]),
-        np.column_stack([bw, bw[:, None] * v]),
-    ])
-    acc = np.zeros((2, n, d + 1))  # sum_j k1 B w_j [1, F_j], sum_j g B w_j [1, v_j]
     half_gamma = 0.5 * gamma
     floor2 = Z_FLOOR * Z_FLOOR
     diff_buf = np.empty((2 * d, PAIR_TILE, PAIR_TILE))
@@ -366,8 +360,8 @@ def _velocity_field_pairs(v, w, f, gamma, prefactor):
         for lo_j in range(lo_i, n, PAIR_TILE):
             rows_j = slice(lo_j, lo_j + PAIR_TILE)
             ti, tj = min(n - lo_i, PAIR_TILE), min(n - lo_j, PAIR_TILE)
-            diffs = diff_buf[:, :ti, :tj]  # z then dF, per component
-            pair = pair_buf[:, :ti, :tj]  # r^2 and z . dF, then k1 and g
+            diffs = diff_buf[:, :ti, :tj]
+            pair = pair_buf[:, :ti, :tj]
             k0 = k0_buf[:ti, :tj]
             np.matmul(left[:, rows_i], right[:, :, rows_j], out=diffs)
             z = diffs[:d]
@@ -380,10 +374,32 @@ def _velocity_field_pairs(v, w, f, gamma, prefactor):
                 k0[near] = 0.0
             else:
                 np.power(r2, half_gamma, out=k0)
-            np.multiply(pair, k0, out=pair)
-            acc[:, rows_i] += np.matmul(pair, weights[:, rows_j])
-            if lo_j != lo_i:
-                acc[:, rows_j] += np.matmul(pair.transpose(0, 2, 1), weights[:, rows_i])
+            yield rows_i, rows_j, diffs, pair, k0
+
+
+def _velocity_field_pairs(v, w, f, gamma, prefactor):
+    """Symmetric tiled O(N^2) pair sum for gamma != 0.
+
+    With z = v_i - v_j, dF = F_i - F_j, k0 = |z|^gamma (0 for |z| <= Z_FLOOR),
+    k1 = k0 |z|^2 and g = k0 (z . dF),
+      U_i = -B [(F_i sum_j k1 w_j - sum_j k1 w_j F_j)
+                - (v_i sum_j g w_j - sum_j g w_j v_j)].
+    k1 and g are symmetric in (i, j), so each tile pair I <= J of _pair_tiles
+    is evaluated once: rows I contract the (I, J) tiles against B w_J [1, F_J]
+    and B w_J [1, v_J], rows J contract their transposes against the I rows.
+    """
+    n, d = v.shape
+    bw = prefactor * w
+    weights = np.stack([  # (2, N, d+1): B w [1, F] and B w [1, v]
+        np.column_stack([bw, bw[:, None] * f]),
+        np.column_stack([bw, bw[:, None] * v]),
+    ])
+    acc = np.zeros((2, n, d + 1))  # sum_j k1 B w_j [1, F_j], sum_j g B w_j [1, v_j]
+    for rows_i, rows_j, _, pair, k0 in _pair_tiles(v, f, gamma):
+        np.multiply(pair, k0, out=pair)  # k1 and g
+        acc[:, rows_i] += np.matmul(pair, weights[:, rows_j])
+        if rows_j != rows_i:
+            acc[:, rows_j] += np.matmul(pair.transpose(0, 2, 1), weights[:, rows_i])
     acc_f, acc_v = acc
     return -((f * acc_f[:, :1] - acc_f[:, 1:]) - (v * acc_v[:, :1] - acc_v[:, 1:]))
 

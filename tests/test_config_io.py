@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import time
 from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
@@ -156,7 +157,7 @@ def test_snapshot_files(tmp_path):
 
 def test_manifest_lists_outputs(tmp_path):
     manifest = RunManifest(config_text="x = 1\n", version="0.0", wall_seconds=1.5,
-                           outputs=[str(tmp_path / "a.csv")])
+                           started_unix=1.0e9, outputs=[str(tmp_path / "a.csv")])
     path = manifest.write(tmp_path / "manifest.json")
     payload = json.loads(open(path).read())
     assert payload["outputs"] == [str(tmp_path / "a.csv")]
@@ -218,6 +219,11 @@ def test_bench_timing_spans_minimum_time(monkeypatch):
     assert best_long >= 0.03 and 0.005 <= best_short < 0.05
 
 
+# File times come from the kernel's coarse clock, which may trail time.time()
+# by up to one timer tick.
+FILE_CLOCK_LAG_S = 0.01
+
+
 def test_cli_run_end_to_end(tmp_path):
     cfg_text = (
         "[simulation]\npreset = bkw2d\ncells_per_dim = 12\nt_end = 0.02\n"
@@ -232,6 +238,10 @@ def test_cli_run_end_to_end(tmp_path):
     assert (outdir / "manifest.json").exists()
     assert (outdir / "config.txt").exists()
     payload = json.loads((outdir / "manifest.json").read_text())
+    # the manifest records when the run started, before its first snapshot
+    assert payload["started_unix"] + payload["wall_seconds"] <= time.time()
+    first_snapshot = os.stat(outdir / "particles_000000.csv").st_mtime
+    assert payload["started_unix"] <= first_snapshot + FILE_CLOCK_LAG_S
     for rel in payload["outputs"]:
         assert os.path.exists(rel)
     # config echo reproduces the run configuration

@@ -1,5 +1,7 @@
 """Observables: moments, entropy, dissipation, blob, norms, order fitting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from landau_particles import (
     score_field,
 )
 from landau_particles.diagnostics import dissipation_from_velocities
-from landau_particles.particles import velocity_field_direct
+from landau_particles.particles import PAIR_TILE, velocity_field_direct
 
 from helpers import naive_dissipation
 
@@ -137,18 +139,46 @@ def test_dissipation_zero_for_single_particle():
     assert dissipation(ens, np.zeros((1, 2)), spec) == 0.0
 
 
-@pytest.mark.parametrize("dim,gamma", [(2, 0.0), (3, -3.0)])
-def test_dissipation_nonnegative_and_matches_naive(dim, gamma):
+@pytest.mark.parametrize(
+    "dim,gamma,n",
+    [
+        pytest.param(2, 0.0, 30, id="2-0.0"),
+        pytest.param(3, -3.0, 30, id="3--3.0"),
+        # three pair tiles, the last one partial, with a coincident pair
+        # (sub-floor, A = 0) across the first tile boundary
+        pytest.param(3, -3.0, 2 * PAIR_TILE + 37, id="3--3.0-tiles"),
+    ],
+)
+def test_dissipation_nonnegative_and_matches_naive(dim, gamma, n):
     rng = np.random.default_rng(dim + 1)
     spec = CollisionKernelSpec(gamma=gamma, prefactor=0.17, dim=dim)
-    v = rng.normal(size=(30, dim))
-    w = rng.uniform(0.1, 0.9, size=30) / 30
-    f = rng.normal(size=(30, dim))
+    v = rng.normal(size=(n, dim))
+    w = rng.uniform(0.1, 0.9, size=n) / n
+    f = rng.normal(size=(n, dim))
+    if n > PAIR_TILE:
+        v[PAIR_TILE] = v[PAIR_TILE - 1]
     ens = ParticleEnsemble(v, w)
     val = dissipation(ens, f, spec)
     assert val >= -1e-12 * max(abs(val), 1.0)
     oracle = naive_dissipation(v, w, f, gamma, spec.prefactor)
     assert val == pytest.approx(oracle, rel=1e-12)
+
+
+def test_dissipation_memory_bounded():
+    # the quadratic form runs over the pair sweep's tiles, not over
+    # (block, N, d) difference arrays
+    rng = np.random.default_rng(41)
+    n = 6000
+    spec = CollisionKernelSpec(gamma=-3.0, prefactor=1.0 / (4.0 * np.pi), dim=3)
+    ens = ParticleEnsemble(rng.normal(size=(n, 3)), rng.uniform(0.2, 1.0, size=n) / n)
+    f = rng.normal(size=(n, 3))
+    tracemalloc.start()
+    try:
+        dissipation(ens, f, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_dissipation_velocity_identity():
@@ -182,6 +212,27 @@ def test_blob_maxwellian_projection_center_value():
     val = blob_eval(ens, mol, np.zeros((1, 2)))[0]
     expected = (2.0 * np.pi * (1.0 + mol.eps)) ** (-1.0)
     assert val == pytest.approx(expected, rel=2e-3)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_blob_matches_extended_precision_where_terms_underflow(dim):
+    # a narrow mollifier over a wide cloud: at every point the far particles'
+    # terms fall below DBL_MIN, some through products of normal axis factors
+    rng = np.random.default_rng(60 + dim)
+    mol = Mollifier(eps=0.01, dim=dim)
+    v = rng.uniform(-3.0, 3.0, size=(900, dim))
+    w = rng.uniform(0.2, 1.0, size=900) / 900
+    pts = rng.uniform(-2.0, 2.0, size=(40, dim))
+    expo = (pts[:, None, :] - v[None, :, :]) ** 2 / (2.0 * mol.eps)  # -exponents (P, N, d)
+    log_tiny = -np.log(np.finfo(float).tiny)
+    assert np.all(np.any(expo.sum(axis=-1) > log_tiny, axis=1))
+    assert np.any((expo.sum(axis=-1) > log_tiny) & np.all(expo < log_tiny, axis=-1))
+    vl, pl = v.astype(np.longdouble), pts.astype(np.longdouble)
+    r2 = np.sum((pl[:, None, :] - vl[None, :, :]) ** 2, axis=-1)
+    norm = (2.0 * np.pi * np.longdouble(mol.eps)) ** (-np.longdouble(dim) / 2.0)
+    exact = np.sum(w * norm * np.exp(-r2 / (2.0 * np.longdouble(mol.eps))), axis=1)
+    vals = blob_eval(ParticleEnsemble(v, w), mol, pts)
+    assert np.allclose(vals, exact.astype(float), rtol=1e-14, atol=0.0)
 
 
 def test_blob_on_grid_matches_pointwise_blob():

@@ -108,21 +108,27 @@ def test_grid_log_density_symmetric_pair_is_even():
     assert np.allclose(vals, flipped, rtol=0, atol=1e-14)
 
 
-def _naive_log_density(ens, grid, mol):
-    """log(sum_k w_k psi_eps(v_l - v_k)) per cell, summed in extended precision."""
-    cells = grid.centers.astype(np.longdouble)
+def _naive_log_density(ens, grid, mol, cells=None):
+    """log(sum_k w_k psi_eps(v_l - v_k)) at the given cells (default: all),
+    summed in extended precision, in blocks of cells."""
+    cells = np.arange(grid.num_cells) if cells is None else cells
     v = ens.velocities.astype(np.longdouble)
     w = ens.weights.astype(np.longdouble)
-    r2 = np.sum((cells[:, None, :] - v[None, :, :]) ** 2, axis=-1)
-    terms = w * np.longdouble(mol.norm_const) * np.exp(-r2 / (2 * np.longdouble(mol.eps)))
-    with np.errstate(divide="ignore"):
-        return np.log(np.sum(terms, axis=1))
+    out = np.empty(cells.size, dtype=np.longdouble)
+    for lo in range(0, cells.size, 64):
+        centers = grid.centers[cells[lo : lo + 64]].astype(np.longdouble)
+        r2 = np.sum((centers[:, None, :] - v[None, :, :]) ** 2, axis=-1)
+        terms = w * np.longdouble(mol.norm_const) * np.exp(-r2 / (2 * np.longdouble(mol.eps)))
+        with np.errstate(divide="ignore"):
+            out[lo : lo + 64] = np.log(np.sum(terms, axis=1))
+    return out
 
 
-def _assert_log_density_matches_naive(ens, grid, mol):
+def _assert_log_density_matches_naive(ens, grid, mol, cells=None):
     vals = grid_log_density(ens, grid, mol)
-    naive = _naive_log_density(ens, grid, mol)
+    naive = _naive_log_density(ens, grid, mol, cells)
     floor = np.log(ens.weights.min()) - 745.0
+    vals = vals if cells is None else vals[cells]
     assert np.allclose(vals, np.maximum(naive, floor).astype(float), rtol=0, atol=1e-12)
     return naive, floor
 
@@ -151,6 +157,43 @@ def test_grid_log_density_exact_on_both_sides_of_fast_path_cutoff():
     assert np.sum((naive > floor) & (naive <= cut)) > 10
     assert np.sum((naive > cut) & (naive < cut + 20.0)) > 10
     assert np.log(1e-300) < naive[12 * 64 + 12] < cut
+
+
+def _fallback_case(dim):
+    """A tight cluster in a wide box: over a thousand cells far from it fall
+    below the fast-path cutoff and are summed in log space."""
+    rng = np.random.default_rng(70 + dim)
+    n_cells, eps, n = {2: (80, None, 6400), 3: (20, 0.01, 2600)}[dim]
+    grid = QuadratureGrid(dim=dim, half_width=4.0, cells_per_dim=n_cells)
+    mol = Mollifier(eps=eps or 0.64 * grid.spacing**1.98, dim=dim)
+    x = rng.normal(size=(n, dim))
+    x *= 0.5 * rng.uniform(size=(n, 1)) ** (1.0 / dim) / np.linalg.norm(x, axis=1, keepdims=True)
+    return ParticleEnsemble(x, rng.uniform(0.2, 1.0, size=n) / n), grid, mol
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_grid_log_density_fallback_matches_extended_precision(dim):
+    ens, grid, mol = _fallback_case(dim)
+    dens = mollified_grid_density(ens, grid, mol)[0]
+    tiny = np.flatnonzero(dens <= _density_tiny(ens.weights, mol))
+    assert tiny.size > 1000
+    # every other log-space cell keeps the oracle cheap
+    naive, floor = _assert_log_density_matches_naive(ens, grid, mol, tiny[::2])
+    assert np.sum(naive > floor) > 100  # not only clamped cells
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_grid_log_density_fallback_memory_bounded(dim):
+    # the log-space cells are summed from per-axis exponents, not from
+    # (cells, N, d) difference arrays
+    ens, grid, mol = _fallback_case(dim)
+    tracemalloc.start()
+    try:
+        mollified_grid_density(ens, grid, mol)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20
 
 
 def test_grid_log_density_weight_doubling_adds_log2():
