@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .particles import _flush_subnormal, _gauss_factors, _pair_tiles, mollified_grid_density
+from .particles import _flush, _gauss_factors, _pair_tiles, mollified_grid_density
 
 
 @dataclass
@@ -72,14 +72,17 @@ def relative_entropy(ens, grid, mol, reference="standard", density_pair=None):
     if density_pair is None:
         density_pair = mollified_grid_density(ens, grid, mol)
     dens, log_dens = density_pair
-    centers = grid.centers
     if reference == "standard":
         rho, u, temperature = 1.0, np.zeros(grid.dim), 1.0
     elif reference == "moments":
         rho, u, temperature = conserved_maxwellian_params(ens)
     else:
         raise ValueError(f"unknown reference {reference!r}")
-    r2 = np.sum((centers - u) ** 2, axis=-1)
+    # |c - u|^2 over the cell centers c, summed over the axes in order
+    r2 = (grid.axis - u[0]) ** 2
+    for s in range(1, grid.dim):
+        r2 = np.add.outer(r2, (grid.axis - u[s]) ** 2)
+    r2 = r2.reshape(-1)
     neg_log_ref = (
         -math.log(rho)
         + 0.5 * grid.dim * math.log(2.0 * math.pi * temperature)
@@ -132,7 +135,7 @@ def blob_eval(ens, mol, points):
         psi = _gauss_factors(pts[:, 0], v[:, 0], mol)
         for s in range(1, ens.dim):
             psi *= _gauss_factors(pts[:, s], v[:, s], mol)
-            _flush_subnormal(psi)
+            _flush(psi)
         out[lo : lo + block] = psi @ nw
     return out
 

@@ -11,17 +11,24 @@ exp(-(x_s - g_a)^2 / (2 eps)) contracted by matmuls: the exact direct sums,
 reassociated. grid_fields builds the particles' factor matrices once per step
 and shares them between the density and the score at the particles; both sums
 run over blocks of rows, so beyond the d factor matrices the working set stays
-small.
+small. simulate.run holds one factor_storage() for the whole run: every grid
+sum inside it writes its factor matrices into one held array, so a steady-state
+step and its snapshot allocate no N x n arrays, and the grid sums are not
+reentrant (each call overwrites the factors of the call before).
 
-Factors and weighted products below the smallest normal double DBL_MIN are
-set to exact zeros. On x86, subnormal results go through microcode assists,
-which made exp and the matmuls 3-4x slower on a 2-vCPU Intel Xeon VM. Each
-particle then loses at most DBL_MIN * max(norm_const w_k, 1) at a cell, so the
-fast-path density is used only where it exceeds 1e16 times the sum of these
-bounds (about 1e-288 for 6400 particles of mass <= 1/norm_const), which keeps
-it within about 1e-16 relative. Cells below that cutoff are recomputed by
-log-sum-exp of the per-axis exponents, in (cells, N) blocks of at most 2^20
-doubles, and clamped at log(min w) - 745 so downstream products stay finite.
+Factors below the smallest normal double DBL_MIN are set to exact zeros. On
+x86, subnormal results go through microcode assists, which made exp and the
+matmuls 3-4x slower on a 2-vCPU Intel Xeon VM. The density contraction sets
+its operands below sqrt(DBL_MIN) to zero, so each product in it is zero or
+normal; each particle then loses at most sqrt(DBL_MIN) * max(norm_const w_k, 1)
+at a cell. The fast-path density is used only where it exceeds 1e16 times the
+sum of these bounds (about 1e-134 for 6400 particles of mass <= 1/norm_const),
+which keeps it within about 1e-16 relative. Cells below that cutoff are
+recomputed by log-sum-exp of the per-axis exponents, in (cells, N) blocks of
+at most 2^20 doubles, and clamped at log(min w) - 745 so downstream products
+stay finite; their density values keep the fast-path sum, off by at most 1e-16
+of the cutoff. The score's derivative factors are flushed only where they can
+be subnormal, for eps < 1 / (2 |log DBL_MIN|) (see _SCORE_FLUSH_EPS).
 
 The direct velocity sum is O(N) for gamma = 0 (global moments). Otherwise it
 visits each unordered pair once, in PAIR_TILE-square tiles: per pair a few
@@ -30,7 +37,9 @@ elementwise passes and one power, contracted by small matrix products (about
 O(N + PAIR_TILE^2) memory; diagnostics.dissipation sums over the same tiles.
 """
 
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -43,10 +52,20 @@ from .kernels import Z_FLOOR
 _TINY = np.finfo(float).tiny
 # exp(x) >= DBL_MIN for every x >= _LOG_TINY: exp(log(DBL_MIN)) rounds above it.
 _LOG_TINY = float(np.log(_TINY))
+# sqrt(DBL_MIN) = 2^-511 exactly: a product of two operands at or above it is
+# at or above DBL_MIN. The density contraction flushes its operands below it.
+_SQRT_TINY = float(np.sqrt(_TINY))
 
 # A fast-path density cell must exceed the mass dropped by flushing (see
 # _density_tiny) by this factor, else it is recomputed in log space.
 _FAST_PATH_MARGIN = 1e16
+
+# The score's derivative factors u g, u = x - g_a, are flushed only below this
+# eps: 1 / (2 |log DBL_MIN|), with 1% to spare for the rounding of exp. At or
+# above it, |u| >= 1 gives u g >= g >= DBL_MIN, and on 1.001 DBL_MIN <= |u| < 1
+# log|u| - u^2 / (2 eps), concave in log|u|, stays above log(DBL_MIN) at both
+# ends. A smaller |u| needs a subnormal particle coordinate on a zero axis point.
+_SCORE_FLUSH_EPS = 1.01 / (2.0 * abs(_LOG_TINY))
 
 # Rows per block of the grid sums times n^(d-1), so that a block's
 # (rows, n^(d-1)) arrays take 256 KB each; 2^14 to 2^16 ran fastest.
@@ -113,7 +132,6 @@ class QuadratureGrid:
     dim: int
     half_width: float
     cells_per_dim: int
-    _centers: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim not in (2, 3):
@@ -139,12 +157,13 @@ class QuadratureGrid:
 
     @property
     def centers(self):
-        """All cell centers, shape (n^d, d), C-ordered over the axes."""
-        if self._centers is None:
-            mesh = np.meshgrid(*([self.axis] * self.dim), indexing="ij")
-            centers = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-            object.__setattr__(self, "_centers", centers)
-        return self._centers
+        """All cell centers, shape (n^d, d), C-ordered over the axes.
+
+        Built on each access rather than kept, so a grid (and every result
+        that holds one) stays a few numbers.
+        """
+        mesh = np.meshgrid(*([self.axis] * self.dim), indexing="ij")
+        return np.stack([m.reshape(-1) for m in mesh], axis=-1)
 
     @property
     def num_cells(self):
@@ -157,7 +176,8 @@ def init_from_density(density, grid, w_floor_rel=1e-15):
     Cells whose weight is at or below w_floor_rel times the maximal cell weight
     are dropped; they cost O(N) forever while contributing below rounding.
     """
-    vals = np.asarray(density(grid.centers), dtype=float)
+    centers = grid.centers
+    vals = np.asarray(density(centers), dtype=float)
     if vals.shape != (grid.num_cells,):
         raise ValueError("density must return one value per grid center")
     if not np.all(np.isfinite(vals)):
@@ -168,44 +188,89 @@ def init_from_density(density, grid, w_floor_rel=1e-15):
     keep = w > w_floor_rel * w.max() if w.max() > 0 else np.zeros(w.shape, bool)
     if not np.any(keep):
         raise EmptyEnsembleError("all cell weights fall below the weight floor")
-    return ParticleEnsemble(grid.centers[keep], w[keep])
+    return ParticleEnsemble(centers[keep], w[keep])
 
 
-def _flush_subnormal(a):
-    """Set every entry of a with |a| < DBL_MIN to an exact zero, in place."""
-    np.multiply(a, np.abs(a) >= _TINY, out=a)
+def _flush(a, floor=_TINY):
+    """Set every entry of a with |a| < floor (default DBL_MIN) to an exact zero, in place."""
+    np.multiply(a, np.abs(a) >= floor, out=a)
     return a
 
 
-def _gauss_exponents(x, y, mol):
+def _gauss_exponents(x, y, mol, out=None):
     """Gaussian exponents -(x_p - y_a)^2 / (2 eps) of coordinates, shape (P, A)."""
-    expo = x[:, None] - y
+    expo = np.subtract(x[:, None], y, out=out)
     expo *= expo
     expo /= -2.0 * mol.eps
     return expo
 
 
-def _gauss_factors(x, y, mol):
-    """exp of _gauss_exponents; exponents below log(DBL_MIN) are set to -inf
-    first, so exp returns an exact zero there and never a subnormal."""
-    expo = _gauss_exponents(x, y, mol)
-    expo[expo < _LOG_TINY] = -np.inf
+def _gauss_factors(x, y, mol, out=None):
+    """exp of _gauss_exponents, into out when given; exponents below
+    log(DBL_MIN) are set to -inf first, so exp returns an exact zero there and
+    never a subnormal. The masks for that cover blocks of rows of ~2^16 entries."""
+    expo = _gauss_exponents(x, y, mol, out)
+    rows = max(1, 2**16 // expo.shape[1])
+    for lo in range(0, expo.shape[0], rows):
+        block = expo[lo : lo + rows]
+        block[block < _LOG_TINY] = -np.inf
     return np.exp(expo, out=expo)
 
 
+# [factors] of the last grid sum while factor_storage() is held in this context
+# (empty before the first), None when it is not held. A context variable, so a
+# storage held by one thread is never seen by another.
+_held_factors = ContextVar("held_factors", default=None)
+
+
+@contextmanager
+def factor_storage():
+    """Let every grid sum until exit reuse one held set of factor matrices.
+
+    simulate.run holds it for the whole run, so each step's grid_fields and
+    the densities its snapshots recompute share one (d, N, n) array, released
+    on exit. Each grid sum overwrites the factors of the one before, so the
+    grid sums are not reentrant while it is held.
+    """
+    token = _held_factors.set([])
+    try:
+        yield
+    finally:
+        _held_factors.reset(token)
+
+
 def _axis_factors(points, grid, mol):
-    """Gaussian factors of every point against the grid axis: d arrays (P, n)."""
-    return [_gauss_factors(points[:, s], grid.axis, mol) for s in range(grid.dim)]
+    """Gaussian factors of every point against the grid axis, shape (d, P, n).
+
+    Inside factor_storage() they are written into the held array, which is
+    replaced only when the shape changes; outside it, into a new one.
+    """
+    shape = (grid.dim, points.shape[0], grid.cells_per_dim)
+    held = _held_factors.get()
+    if held and held[0].shape == shape:
+        factors = held[0]
+    else:
+        factors = np.empty(shape)
+        if held is not None:
+            held[:] = [factors]
+    for s in range(grid.dim):
+        _gauss_factors(points[:, s], grid.axis, mol, factors[s])
+    return factors
 
 
 def _density_tiny(w, mol):
     """Fast-path density below which a cell is recomputed in log space.
 
-    Flushing drops at most DBL_MIN * max(norm_const w_k, 1) per particle and
-    cell, so a fast-path cell above this cutoff is off by at most
-    1 / _FAST_PATH_MARGIN relative.
+    The density contraction drops at most sqrt(DBL_MIN) * max(norm_const w_k, 1)
+    per particle and cell, so a fast-path cell above this cutoff is off by at
+    most 1 / _FAST_PATH_MARGIN relative.
     """
-    return _FAST_PATH_MARGIN * _TINY * float(np.sum(np.maximum(mol.norm_const * w, 1.0)))
+    return _FAST_PATH_MARGIN * _SQRT_TINY * float(np.sum(np.maximum(mol.norm_const * w, 1.0)))
+
+
+def _normal_operand(a):
+    """Copy of the nonnegative a with entries below sqrt(DBL_MIN) set to zero."""
+    return a * (a >= _SQRT_TINY)
 
 
 def _density(ens, grid, mol, factors):
@@ -217,13 +282,15 @@ def _density(ens, grid, mol, factors):
     block = max(1, _BLOCK // n ** (d - 1))
     for lo in range(0, ens.size, block):
         rows = slice(lo, lo + block)
-        # tail[k, (b, c)] = norm_const w_k E2[k, b] E3[k, c]; contract particles against E1
-        tail = _flush_subnormal(factors[-1][rows] * nw[rows, None])
+        # tail[k, (b, c)] = norm_const w_k E2[k, b] E3[k, c]; contract particles
+        # against E1. Every operand is zero or >= sqrt(DBL_MIN), so every
+        # product is zero or normal.
+        tail = _flush(factors[-1][rows] * nw[rows, None], _SQRT_TINY)
         if d == 3:
-            tail = _flush_subnormal(factors[1][rows, :, None] * tail[:, None, :])
-            tail = tail.reshape(-1, n * n)
-        dens += factors[0][rows].T @ tail
-    dens = _flush_subnormal(dens.reshape(-1))
+            tail = _normal_operand(factors[1][rows])[:, :, None] * tail[:, None, :]
+            tail = _flush(tail.reshape(-1, n * n), _SQRT_TINY)
+        dens += _normal_operand(factors[0][rows]).T @ tail
+    dens = dens.reshape(-1)
 
     floor = np.log(w.min()) - 745.0
     log_dens = np.full(dens.shape, floor)
@@ -245,6 +312,13 @@ def _density(ens, grid, mol, factors):
     return dens, log_dens
 
 
+def _derivative_factors(x, axis, g, mol):
+    """(x_t - a) g from the factors g, shape (T, n); flushed below DBL_MIN
+    only for eps < _SCORE_FLUSH_EPS, the only case where it can be subnormal."""
+    dg = (x[:, None] - axis) * g
+    return _flush(dg) if mol.eps < _SCORE_FLUSH_EPS else dg
+
+
 def _score(grid, mol, log_density, targets, factors):
     """Score at the targets from their axis factors, in blocks of targets."""
     n, d = grid.cells_per_dim, grid.dim
@@ -256,9 +330,7 @@ def _score(grid, mol, log_density, targets, factors):
     for lo in range(0, t_total, block):
         rows = slice(lo, lo + block)
         gs = [f[rows] for f in factors]
-        dgs = [
-            _flush_subnormal((targets[rows, s, None] - axis) * gs[s]) for s in range(d)
-        ]
+        dgs = [_derivative_factors(targets[rows, s], axis, gs[s], mol) for s in range(d)]
         if d == 2:
             out[rows, 0] = np.einsum("ib,ib->i", dgs[0] @ ld, gs[1])
             out[rows, 1] = np.einsum("ib,ib->i", gs[0] @ ld, dgs[1])
@@ -269,7 +341,7 @@ def _score(grid, mol, log_density, targets, factors):
             out[rows, 1] = np.einsum("ic,ic->i", np.einsum("ibc,ib->ic", t_g1, dgs[1]), gs[2])
             out[rows, 2] = np.einsum("ic,ic->i", np.einsum("ibc,ib->ic", t_g1, gs[1]), dgs[2])
     out *= -grid.cell_volume * mol.norm_const / mol.eps
-    return _flush_subnormal(out)
+    return _flush(out)
 
 
 def mollified_grid_density(ens, grid, mol):

@@ -24,6 +24,7 @@ from .exact import bimaxwellian_init, bkw_eval, bkw_params, maxwellian, rosenblu
 from .kernels import CollisionKernelSpec, Mollifier
 from .particles import (
     QuadratureGrid,
+    factor_storage,
     grid_fields,
     init_from_density,
     min_pair_distance,
@@ -223,6 +224,7 @@ class RunResult:
     mollifier: object
 
 
+@factor_storage()
 def run(cfg, on_snapshot=None, progress=None):
     """Initialize, march to t_end, and collect one DiagnosticsRecord per step.
 
@@ -230,7 +232,9 @@ def run(cfg, on_snapshot=None, progress=None):
     initial state; t_end = t_start yields exactly that record). on_snapshot,
     when given, is called as on_snapshot(step, time, ensemble) at step 0,
     every snapshot_stride steps, and at the final step. Reductions run in
-    fixed index order, so reruns of one config are bit-identical.
+    fixed index order, so reruns of one config are bit-identical. The grid
+    sums of the steps and of on_snapshot share one factor_storage(), released
+    on return.
     """
     cfg.validate()
     grid = cfg.grid()

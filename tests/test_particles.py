@@ -23,9 +23,12 @@ from landau_particles import (
     velocity_field_direct,
 )
 from landau_particles.particles import (
+    _SCORE_FLUSH_EPS,
     PAIR_TILE,
     _axis_factors,
     _density_tiny,
+    _derivative_factors,
+    factor_storage,
     mollified_grid_density,
 )
 
@@ -114,9 +117,10 @@ def _naive_log_density(ens, grid, mol, cells=None):
     cells = np.arange(grid.num_cells) if cells is None else cells
     v = ens.velocities.astype(np.longdouble)
     w = ens.weights.astype(np.longdouble)
+    all_centers = grid.centers
     out = np.empty(cells.size, dtype=np.longdouble)
     for lo in range(0, cells.size, 64):
-        centers = grid.centers[cells[lo : lo + 64]].astype(np.longdouble)
+        centers = all_centers[cells[lo : lo + 64]].astype(np.longdouble)
         r2 = np.sum((centers[:, None, :] - v[None, :, :]) ** 2, axis=-1)
         terms = w * np.longdouble(mol.norm_const) * np.exp(-r2 / (2 * np.longdouble(mol.eps)))
         with np.errstate(divide="ignore"):
@@ -157,6 +161,35 @@ def test_grid_log_density_exact_on_both_sides_of_fast_path_cutoff():
     assert np.sum((naive > floor) & (naive <= cut)) > 10
     assert np.sum((naive > cut) & (naive < cut + 20.0)) > 10
     assert np.log(1e-300) < naive[12 * 64 + 12] < cut
+
+
+def test_grid_log_density_exact_where_contraction_products_underflow():
+    # Three particles near one corner of a wide box. Far from them in both
+    # axes, a particle's two factors (the first axis's, and the last axis's
+    # times norm_const w) are normal while their product underflows; far from
+    # them in one axis only, one factor lies below sqrt(DBL_MIN) and the
+    # density between the DBL_MIN-based cutoff and the sqrt(DBL_MIN)-based
+    # one. The contraction drops both kinds, and log space must restore them.
+    grid = QuadratureGrid(dim=2, half_width=10.0, cells_per_dim=64)
+    mol = Mollifier(eps=0.05, dim=2)
+    c = grid.axis[8]
+    ens = ParticleEnsemble(np.array([[c, c], [c + 0.1, c - 0.2], [c - 0.15, c + 0.05]]),
+                           np.array([1.0, 0.5, 0.25]))
+    naive, floor = _assert_log_density_matches_naive(ens, grid, mol)
+    tiny = np.finfo(float).tiny
+    first, last = _axis_factors(ens.velocities, grid, mol)
+    nw = mol.norm_const * ens.weights
+    # cells where each particle's product of two normal factors underflows
+    underflow = np.ones(grid.num_cells, bool)
+    for k in range(ens.size):
+        tail = last[k] * nw[k]
+        prod = np.outer(first[k], tail).reshape(-1)
+        normal = np.outer(first[k] >= tiny, tail >= tiny).reshape(-1)
+        underflow &= normal & (prod < tiny)
+    assert np.sum(underflow & (naive > floor)) > 10
+    old_cut = np.log(1e16 * tiny * np.sum(np.maximum(nw, 1.0)))
+    cut = np.log(_density_tiny(ens.weights, mol))
+    assert np.sum((naive > old_cut) & (naive <= cut)) > 100
 
 
 def _fallback_case(dim):
@@ -320,23 +353,52 @@ def test_grid_fields_bit_identical_to_separate_sums(dim, n_cells, n_particles):
     assert np.array_equal(dens2, dens)
     assert np.array_equal(log_dens2, log_dens)
     assert np.array_equal(scores2, scores)
+    # the same inside a held factor storage, where each sum overwrites the
+    # factors of the one before
+    targets = ens.velocities[::3]
+    target_scores = score_field(ens, grid, mol, targets)
+    with factor_storage():
+        for _ in range(2):
+            (dens3, log_dens3), scores3 = grid_fields(ens, grid, mol)
+            assert np.array_equal(dens3, dens)
+            assert np.array_equal(log_dens3, log_dens)
+            assert np.array_equal(scores3, scores)
+            assert np.array_equal(mollified_grid_density(ens, grid, mol)[0], dens)
+            assert np.array_equal(score_field(ens, grid, mol, targets), target_scores)
 
 
-@pytest.mark.parametrize("dim,n_cells", [(2, 40), (3, 40)])
-def test_grid_sums_hold_no_subnormals(dim, n_cells):
+@pytest.mark.parametrize("dim,n_cells,eps", [(2, 40, None), (3, 40, None), (2, 40, 5e-4)])
+def test_grid_sums_hold_no_subnormals(dim, n_cells, eps):
     rng = np.random.default_rng(50 + dim)
     grid = QuadratureGrid(dim=dim, half_width=4.0, cells_per_dim=n_cells)
-    mol = Mollifier(eps=0.64 * grid.spacing**1.98, dim=dim)
+    mol = Mollifier(eps=eps or 0.64 * grid.spacing**1.98, dim=dim)
     ens = _spread_ensemble(rng, dim, 400, grid)
+    if eps:
+        # below _SCORE_FLUSH_EPS a factor g just above DBL_MIN sits at
+        # |u| = sqrt(2 eps |log DBL_MIN|) < 1, where u g is subnormal
+        assert eps < _SCORE_FLUSH_EPS
+        u = np.sqrt(2.0 * eps * -np.log(np.finfo(float).tiny)) * (1.0 - 5e-5)
+        v = np.vstack([ens.velocities, grid.axis[[5, 9, 14]][:, None] + [u, -u]])
+        ens = ParticleEnsemble(v, np.append(ens.weights, [0.1, 0.2, 0.3]))
     tiny = np.finfo(float).tiny
+
+    def subnormal(a):
+        return (np.abs(a) > 0) & (np.abs(a) < tiny)
+
     # the unflushed factors would include subnormals
     diff = ens.velocities[:, :, None] - grid.axis
     raw = -(diff * diff) / (2.0 * mol.eps)
     assert np.any((raw > -745.0) & (raw < np.log(tiny)))
     factors = _axis_factors(ens.velocities, grid, mol)
+    # the score's unflushed derivative factors include subnormals exactly
+    # when eps < _SCORE_FLUSH_EPS, the only case where they are flushed
+    raw_dgs = diff.transpose(1, 0, 2) * factors
+    assert np.any(subnormal(raw_dgs)) == (mol.eps < _SCORE_FLUSH_EPS)
+    dgs = [_derivative_factors(ens.velocities[:, s], grid.axis, factors[s], mol)
+           for s in range(dim)]
     (dens, log_dens), scores = grid_fields(ens, grid, mol)
-    for a in [*factors, dens, log_dens, scores]:
-        assert not np.any((np.abs(a) > 0) & (np.abs(a) < tiny))
+    for a in [*factors, *dgs, dens, log_dens, scores]:
+        assert not np.any(subnormal(a))
     assert np.all(factors[0][raw[:, 0] < np.log(tiny)] == 0.0)
 
 

@@ -1,12 +1,13 @@
 """Forward-Euler stepping, domain monitoring, and the run driver."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from landau_particles import ParticleEnsemble
+from landau_particles import ParticleEnsemble, grid_fields, particles
 from landau_particles.config import preset
 from landau_particles.simulate import (
     BlowUpError,
@@ -180,3 +181,49 @@ def test_run_maxwellian_stays_near_equilibrium():
     rel0 = result.records[0].relative_entropy
     relT = result.records[-1].relative_entropy
     assert relT <= 2.0 * rel0
+
+
+def _grid_fields_peak(ens, grid, mol):
+    """tracemalloc peak of one grid_fields call, in bytes."""
+    tracemalloc.start()
+    try:
+        grid_fields(ens, grid, mol)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_run_grid_sums_reuse_one_factor_storage():
+    # N = 6400 particles on an 80^2 grid: one (N, n) factor matrix takes 4 MB,
+    # while the blocked sums' temporaries stay near 1 MB
+    cfg = tiny_cfg(cells_per_dim=80, t_end=0.02, snapshot_stride=1)
+    grid, mol = cfg.grid(), cfg.mollifier()
+    seen = []
+
+    def on_snapshot(step, t, ens):
+        # the step's own grid_fields call has just filled the run's storage
+        factors = particles._held_factors.get()[0]
+        seen.append((factors.shape, _grid_fields_peak(ens, grid, mol)))
+        assert particles._held_factors.get()[0] is factors
+        seen.append((factors.shape, _grid_fields_peak(ens, grid, mol)))
+
+    result = run(cfg, on_snapshot=on_snapshot)
+    n_particles = result.ensemble.size
+    factor_bytes = n_particles * grid.cells_per_dim * 8
+    assert len(seen) == 2 * (cfg.n_steps + 1)
+    for shape, peak in seen:
+        assert shape == (2, n_particles, grid.cells_per_dim)
+        assert peak < factor_bytes
+    # the storage is released on return; outside a run each call allocates
+    # its factor matrices
+    assert particles._held_factors.get() is None
+    assert _grid_fields_peak(result.ensemble, grid, mol) > 2 * factor_bytes
+
+
+def test_run_releases_factor_storage_on_error():
+    def on_snapshot(step, t, ens):
+        raise RuntimeError("snapshot failed")
+
+    with pytest.raises(RuntimeError):
+        run(tiny_cfg(), on_snapshot=on_snapshot)
+    assert particles._held_factors.get() is None
