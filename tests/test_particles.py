@@ -367,7 +367,11 @@ def test_grid_fields_bit_identical_to_separate_sums(dim, n_cells, n_particles):
             assert np.array_equal(score_field(ens, grid, mol, targets), target_scores)
 
 
-@pytest.mark.parametrize("dim,n_cells,eps", [(2, 40, None), (3, 40, None), (2, 40, 5e-4)])
+@pytest.mark.parametrize(
+    "dim,n_cells,eps",
+    [(2, 40, None), (3, 40, None), (2, 40, 5e-4)],
+    ids=["2-40", "3-40", "2-40-small_eps"],
+)
 def test_grid_sums_hold_no_subnormals(dim, n_cells, eps):
     rng = np.random.default_rng(50 + dim)
     grid = QuadratureGrid(dim=dim, half_width=4.0, cells_per_dim=n_cells)
