@@ -137,17 +137,21 @@ def _gaussian_coeff_table(u, mol, order):
 
 @functools.cache
 def _grade_tables(order, dim):
-    """Per grade g = 1..order of multi_indices: (rows, parents, axes).
+    """Per grade g = 1..order of multi_indices: (rows, parents, axis) slices.
 
-    Row i of the slice rows is x^k = x^(k - e_s) x_s, with s = axes[i] the
-    pivot of k and k - e_s at row parents[i].
+    Within a grade, the k with k_0 = .. = k_(s-1) = 0 < k_s form one run of
+    rows, and k -> k - e_s maps that run in order onto the last rows of grade
+    g - 1. So x^k = x^(k - e_s) x_s is one product of a slice of the grade
+    below with the row x_s, for each axis s.
     """
-    _, pivot, im1, _ = _index_tables(order, dim)
     tables = []
     for grade in range(1, order + 1):
-        rows = slice(math.comb(grade - 1 + dim, dim), math.comb(grade + dim, dim))
-        k = np.arange(rows.start, rows.stop)
-        tables.append((rows, im1[k, pivot[k]], pivot[k]))
+        row = math.comb(grade - 1 + dim, dim)
+        below_end = row
+        for s in range(dim):
+            count = math.comb(grade - 1 + dim - 1 - s, dim - 1 - s)
+            tables.append((slice(row, row + count), slice(below_end - count, below_end), s))
+            row += count
     return tuple(tables)
 
 
@@ -155,15 +159,15 @@ def _monomials(x, order, lead=1.0, out=None):
     """lead * x^k for every |k| <= order of points x of shape (d, T).
 
     Returns (P, T), rows in multi_indices order, written to out when given;
-    lead (scalar or (T,)) is the row k = 0 and scales every row. Each grade is
-    one vectorised product with the grade below.
+    lead (scalar or (T,)) is the row k = 0 and scales every row. Each run of
+    _grade_tables is one vectorised product with the grade below.
     """
     dim, t_count = x.shape
     if out is None:
         out = np.empty((math.comb(order + dim, dim), t_count))
     out[0] = lead
-    for rows, parents, axes in _grade_tables(order, dim):
-        np.multiply(out[parents], x[axes], out=out[rows])
+    for rows, parents, axis in _grade_tables(order, dim):
+        np.multiply(out[parents], x[axis], out=out[rows])
     return out
 
 
@@ -238,12 +242,23 @@ def _shift_tables(order, dim):
     return table
 
 
-def _shifted_moments(node_moments, order, dim):
-    """Moments m^(k + sigma) for every shift of _shift_tables, (n_sh * C, P)."""
-    n_ch = node_moments.shape[0]
+@functools.cache
+def _shifted_coeff_stack(beta, order, dim):
+    """The rows of _radial_coeff_matrix moved by each shift, shape (n_sh, P, P).
+
+    Slice n has row H[i] at the position of k_i + sigma_n (rows whose shifted
+    index exceeds the order are dropped), so node_moments @ slice n equals
+    m^(k + sigma_n) @ H. Read-only.
+    """
+    coeff = _radial_coeff_matrix(beta, order, dim)
     table = _shift_tables(order, dim)
-    mom_pad = np.concatenate([node_moments, np.zeros((n_ch, 1))], axis=1)
-    return mom_pad[:, table].swapaxes(0, 1).reshape(-1, table.shape[1])
+    p_count = coeff.shape[0]
+    stack = np.zeros((table.shape[0], p_count + 1, p_count))
+    for n, dest in enumerate(table):
+        stack[n, dest] = coeff
+    out = stack[:, :p_count]
+    out.setflags(write=False)
+    return out
 
 
 def component_pairs(dim):
@@ -337,12 +352,14 @@ class KernelMatrixProvider:
             Q_rs = u_r u_s S_0 + u_s S_(e_r) + u_r S_(e_s) + S_(e_r + e_s)
         is the order-p truncation of the sum of (u + delta)_r (u + delta)_s
         |u + delta|^gamma, so A_rr = B sum_(t != r) Q_tt and A_rs = -B Q_rs.
-        The S_sigma are products of the shifted moments with the cached
-        coefficient matrix and the per-target basis.
+        The S_sigma are products of the moments with the cached coefficient
+        matrices of _shifted_coeff_stack and the per-target basis.
         """
         spec = self.spec
         dim = spec.dim
-        ut = center[:, None] - targets.T
+        # C order: targets.T is Fortran-ordered, and every row of u below
+        # would otherwise be read with a stride of d
+        ut = np.subtract(center[:, None], targets.T, order="C")
         r2 = np.einsum("dt,dt->t", ut, ut)
         if np.any(r2 <= Z_FLOOR * Z_FLOOR):
             raise NearFieldError(
@@ -356,9 +373,9 @@ class KernelMatrixProvider:
             ut / r2, order, spec.prefactor * r2 ** (0.5 * spec.gamma),
             out=self._table("basis", math.comb(order + dim, dim), t_count),
         )
-        weights = _shifted_moments(node_moments, order, dim) @ _radial_coeff_matrix(
-            spec.gamma, order, dim
-        )
+        weights = np.matmul(
+            node_moments, _shifted_coeff_stack(spec.gamma, order, dim)
+        ).reshape(-1, basis.shape[0])
         # S_sigma has no terms of grade above p - |sigma|, and the basis is
         # graded, so those terms are a dropped suffix
         rows = np.cumsum([0, 1, dim, self.n_outputs]) * n_ch  # |sigma| = 0, 1, 2
@@ -368,16 +385,25 @@ class KernelMatrixProvider:
             np.matmul(weights[lo:hi, :n_col], basis[:n_col], out=sums[lo:hi])
         sums = sums.reshape(-1, n_ch, t_count)
         # v_r = u_r S_0 + S_(e_r), so Q_rs = u_s v_r + u_r S_(e_s) + S_(e_r + e_s)
+        # and Q_rr = u_r (v_r + S_(e_r)) + S_(2 e_r)
         v = ut[:, None, :] * sums[0]
         v += sums[1 : 1 + dim]
         q = sums[1 + dim :]
         tmp = np.empty_like(sums[0])
         for c, (r, s) in enumerate(self.pairs):
-            q[c] += np.multiply(ut[s], v[r], out=tmp)
-            q[c] += np.multiply(ut[r], sums[1 + s], out=tmp)
+            if r == s:
+                np.add(v[r], sums[1 + r], out=tmp)
+                tmp *= ut[r]
+                q[c] += tmp
+            else:
+                q[c] += np.multiply(ut[s], v[r], out=tmp)
+                q[c] += np.multiply(ut[r], sums[1 + s], out=tmp)
         out = np.empty_like(q)
         for r in range(dim):
-            out[r] = sum(q[t] for t in range(dim) if t != r)
+            rest = [t for t in range(dim) if t != r]
+            np.copyto(out[r], q[rest[0]])
+            for t in rest[1:]:
+                out[r] += q[t]
         np.negative(q[dim:], out=out[dim:])
         return out
 
@@ -531,50 +557,73 @@ def compute_moments(tree, charges, order):
     return ClusterMoments(tree, charges, order)
 
 
-def treecode_sum(tree, moments, provider, targets, params):
+def treecode_sum(tree, moments, provider, targets, params, reduce=None):
     """Per-target kernel sums, shape (n_outputs, n_channels, T).
 
     MAC-admissible particle-cluster interactions use the truncated Taylor
     expansion contracted with cluster moments; inadmissible leaves are summed
-    directly.
+    directly. With reduce = (width, fn), the (n_outputs, n_channels, F) sums
+    of each interaction with the targets tidx are mapped to fn(sums, tidx),
+    shape (width, F), before they are accumulated, and the result has shape
+    (width, T).
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     t_count = targets.shape[0]
-    # target-major accumulator: each += below touches whole contiguous rows
-    acc = np.zeros((t_count, provider.n_outputs, moments.n_channels))
+    if reduce is None:
+        shape, contract = (provider.n_outputs, moments.n_channels), None
+    else:
+        width, contract = reduce
+        shape = (width,)
+    # target-major accumulator: each interaction gathers, adds to and stores
+    # back whole contiguous rows. Row gathers use np.take, several times
+    # faster than fancy indexing; the target subsets hold no repeats.
+    acc = np.zeros((t_count, *shape))
+
+    def add(sel, sums):
+        if contract is not None:
+            sums = contract(sums, sel)
+        rows = np.take(acc, sel, axis=0)
+        rows += np.moveaxis(sums, -1, 0)
+        acc[sel] = rows
+
     stack = [(tree.root, np.arange(t_count))]
     while stack:
         node, tidx = stack.pop()
-        x = targets[tidx]
+        x = np.take(targets, tidx, axis=0)
         diff = x - node.center
         dist = np.sqrt(np.einsum("td,td->t", diff, diff))
         far = (node.radius <= params.theta * dist) & (dist > Z_FLOOR)
-        if np.any(far):
-            acc[tidx[far]] += provider.far_contribution(
-                x[far], node.center, moments.per_node[node.index], params.order,
-            ).transpose(2, 0, 1)
-        if not np.all(far):
-            nidx = tidx[~far]
+        far_at = np.flatnonzero(far)
+        if far_at.size:
+            add(tidx[far_at], provider.far_contribution(
+                np.take(x, far_at, axis=0), node.center,
+                moments.per_node[node.index], params.order,
+            ))
+        if far_at.size < tidx.size:
+            near_at = np.flatnonzero(~far)
+            nidx = tidx[near_at]
             if node.is_leaf:
-                acc[nidx] += provider.direct_sum(
-                    x[~far],
+                add(nidx, provider.direct_sum(
+                    np.take(x, near_at, axis=0),
                     tree.sources[node.start : node.end],
                     moments.charges_perm[:, node.start : node.end],
-                ).transpose(2, 0, 1)
+                ))
             else:
                 for child in node.children:
                     stack.append((child, nidx))
-    return acc.transpose(1, 2, 0)
+    return np.moveaxis(acc, 0, -1)
 
 
 def treecode_velocity_field(ens, scores, spec, params):
     """Treecode evaluation of U_i = -sum_j w_j A(v_i - v_j)[F_i - F_j].
 
     Charge channels are {w_j} and {w_j F_j,s}; the independent components of A
-    share one tree and one traversal. theta = 0 (no expansion can be admitted)
-    and gamma = 0 (the direct engine sums the polynomial kernel exactly in
-    O(N) through global moments) route to the direct engine, giving
-    bit-identical results.
+    share one tree and one traversal, and each interaction's sums are
+    contracted with the targets' F_i before they are accumulated, so only the
+    d components of U are gathered and scattered per target. theta = 0 (no
+    expansion can be admitted) and gamma = 0 (the direct engine sums the
+    polynomial kernel exactly in O(N) through global moments) route to the
+    direct engine, giving bit-identical results.
     """
     if params.theta == 0.0 or spec.gamma == 0.0:
         return velocity_field_direct(ens, scores, spec)
@@ -588,18 +637,19 @@ def treecode_velocity_field(ens, scores, spec, params):
     charges[1:] = (ens.weights[:, None] * f).T
     moments = compute_moments(tree, charges, params.order)
     provider = KernelMatrixProvider(spec)
-    sums = treecode_sum(tree, moments, provider, ens.velocities, params)
-    pairs = component_pairs(dim)
-    comp_of = {}
-    for c, (r, s) in enumerate(pairs):
-        comp_of[(r, s)] = c
-        comp_of[(s, r)] = c
-    out = np.empty((ens.size, dim))
-    for r in range(dim):
-        acc = np.zeros(ens.size)
-        for s in range(dim):
-            c = comp_of[(r, s)]
-            # sum_j w_j A_rs(v_i - v_j) F_i,s  minus  sum_j w_j A_rs F_j,s
-            acc += sums[c, 0] * f[:, s] - sums[c, 1 + s]
-        out[:, r] = -acc
-    return out
+    comp = np.empty((dim, dim), dtype=int)
+    for c, (r, s) in enumerate(component_pairs(dim)):
+        comp[r, s] = comp[s, r] = c
+    channel = 1 + np.arange(dim)
+    f_rows = np.ascontiguousarray(f.T)
+
+    def velocity_terms(sums, tidx):
+        # U_r = sum_s (sum_j w_j A_rs F_j,s  minus  sum_j w_j A_rs F_i,s)
+        terms = sums[comp, channel]
+        terms -= sums[comp, 0] * np.take(f_rows, tidx, axis=1)
+        return terms.sum(axis=1)
+
+    velocity = treecode_sum(
+        tree, moments, provider, ens.velocities, params, reduce=(dim, velocity_terms)
+    )
+    return velocity.T

@@ -269,6 +269,19 @@ def test_radial_coeff_matrix_matches_row_recurrence(dim, order, gamma):
             assert np.max(np.abs(got - ref) * size) <= 1e-13 * np.max(np.abs(ref) * size)
 
 
+@pytest.mark.parametrize("order", [0, 1, 4, 7])
+@pytest.mark.parametrize("dim", [3, 2])
+def test_monomials_match_powers(dim, order):
+    rng = np.random.default_rng(43)
+    x = rng.uniform(-2.0, 2.0, size=(dim, 9))
+    lead = rng.uniform(0.5, 2.0, size=9)
+    got = _monomials(x, order, lead)
+    ref = np.array([lead * np.prod(x ** np.array(k)[:, None], axis=0)
+                    for k in multi_indices(order, dim)])
+    assert got.shape == ref.shape
+    assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
+
+
 @pytest.mark.parametrize("dim", [3, 2])
 def test_radial_coeff_matrix_constant_for_gamma_zero(dim):
     # |u|^0 = 1: every coefficient beyond the constant term vanishes exactly
@@ -415,6 +428,31 @@ def test_treecode_sum_translation_invariance():
     base = run(pts, targets)
     moved = run(pts + shift, targets + shift)
     assert np.max(np.abs(base - moved)) <= 1e-10 * max(1.0, np.max(np.abs(base)))
+
+
+def test_treecode_sum_reduce_contracts_every_interaction():
+    # a per-target linear map applied to each interaction's sums, then summed,
+    # equals the map applied to the unreduced per-target sums
+    rng = np.random.default_rng(17)
+    pts = rng.uniform(-1, 1, size=(700, 3))
+    q = rng.normal(size=(4, 700))
+    spec = CollisionKernelSpec(gamma=-3.0, prefactor=1 / (4 * np.pi), dim=3)
+    params = TreecodeParams(theta=0.5, order=4, leaf_capacity=16)
+    tree = build_tree(pts, params)
+    mom = compute_moments(tree, q, params.order)
+    targets = np.vstack([rng.uniform(-1.5, 1.5, size=(200, 3)), pts[:5]])
+    mix = rng.normal(size=(len(targets), 2, 6, 4))
+
+    def contract(sums, tidx):
+        return np.einsum("tmcq,cqt->mt", mix[tidx], sums)
+
+    full = treecode_sum(tree, mom, KernelMatrixProvider(spec), targets, params)
+    reduced = treecode_sum(
+        tree, mom, KernelMatrixProvider(spec), targets, params, reduce=(2, contract)
+    )
+    assert reduced.shape == (2, len(targets))
+    expected = contract(full, np.arange(len(targets)))
+    assert np.allclose(reduced, expected, rtol=1e-12, atol=1e-12 * np.max(np.abs(expected)))
 
 
 def _random_ensemble_with_scores(rng, n, dim):
