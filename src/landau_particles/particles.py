@@ -8,13 +8,12 @@ the particle velocities are U_i = -sum_j w_j A(v_i - v_j) [F(v_i) - F(v_j)].
 All Gaussian grid sums factor over the tensor-product grid, so the density and
 score evaluations are organized as per-axis factor matrices
 exp(-(x_s - g_a)^2 / (2 eps)) contracted by matmuls: the exact direct sums,
-reassociated. grid_fields builds the particles' factor matrices once per step
-and shares them between the density and the score at the particles; both sums
-run over blocks of rows, so beyond the d factor matrices the working set stays
-small. simulate.run holds one factor_storage() for the whole run: every grid
-sum inside it writes its factor matrices into one held array, so a steady-state
-step and its snapshot allocate no N x n arrays, and the grid sums are not
-reentrant (each call overwrites the factors of the call before).
+reassociated. Both sums run over blocks of rows (_factor_blocks). grid_fields
+builds the particles' (d, N, n) factors once per step, into a buffer the
+caller may pass (simulate.run passes one for the whole run), and shares them
+between the density and the score at the particles; every other grid sum
+builds its factors a few blocks of rows at a time, so beyond the factors the
+working set stays small and no whole factor matrix is held.
 
 Factors below the smallest normal double DBL_MIN are set to exact zeros. On
 x86, subnormal results go through microcode assists, which made exp and the
@@ -37,8 +36,6 @@ elementwise passes and one power, contracted by small matrix products (about
 O(N + PAIR_TILE^2) memory; diagnostics.dissipation sums over the same tiles.
 """
 
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +67,11 @@ _SCORE_FLUSH_EPS = 1.01 / (2.0 * abs(_LOG_TINY))
 # Rows per block of the grid sums times n^(d-1), so that a block's
 # (rows, n^(d-1)) arrays take 256 KB each; 2^14 to 2^16 ran fastest.
 _BLOCK = 2**15
+
+# Rows times n of the axis factors a grid sum builds at once when it is not
+# given them, rounded down to whole blocks (at least one). A 3D block is only
+# 81 rows at n = 20, and building factors per block made the density ~8% slower.
+_FACTOR_SPAN = 2**13
 
 # Side of the square tiles of the gamma != 0 pair sweep. One tile pair holds
 # 2d + 3 (PAIR_TILE, PAIR_TILE) float arrays, about 1.2 MB in 3D, which stays
@@ -198,64 +200,57 @@ def _flush(a, floor=_TINY):
 
 
 def _gauss_exponents(x, y, mol, out=None):
-    """Gaussian exponents -(x_p - y_a)^2 / (2 eps) of coordinates, shape (P, A)."""
-    expo = np.subtract(x[:, None], y, out=out)
+    """Gaussian exponents -(x_p - y_a)^2 / (2 eps) of coordinates, shape
+    x.shape + (A,)."""
+    expo = np.subtract(x[..., None], y, out=out, order="C")
     expo *= expo
     expo /= -2.0 * mol.eps
     return expo
 
 
 def _gauss_factors(x, y, mol, out=None):
-    """exp of _gauss_exponents, into out when given; exponents below
-    log(DBL_MIN) are set to -inf first, so exp returns an exact zero there and
-    never a subnormal. The masks for that cover blocks of rows of ~2^16 entries."""
+    """exp of _gauss_exponents, into out (C-contiguous) when given; exponents
+    below log(DBL_MIN) are set to -inf first, so exp returns an exact zero
+    there and never a subnormal. The masks for that cover blocks of rows of
+    ~2^16 entries."""
     expo = _gauss_exponents(x, y, mol, out)
-    rows = max(1, 2**16 // expo.shape[1])
-    for lo in range(0, expo.shape[0], rows):
-        block = expo[lo : lo + rows]
+    flat = expo.reshape(-1, expo.shape[-1])
+    rows = max(1, 2**16 // flat.shape[1])
+    for lo in range(0, flat.shape[0], rows):
+        block = flat[lo : lo + rows]
         block[block < _LOG_TINY] = -np.inf
     return np.exp(expo, out=expo)
 
 
-# [factors] of the last grid sum while factor_storage() is held in this context
-# (empty before the first), None when it is not held. A context variable, so a
-# storage held by one thread is never seen by another.
-_held_factors = ContextVar("held_factors", default=None)
-
-
-@contextmanager
-def factor_storage():
-    """Let every grid sum until exit reuse one held set of factor matrices.
-
-    simulate.run holds it for the whole run, so each step's grid_fields and
-    the densities its snapshots recompute share one (d, N, n) array, released
-    on exit. Each grid sum overwrites the factors of the one before, so the
-    grid sums are not reentrant while it is held.
-    """
-    token = _held_factors.set([])
-    try:
-        yield
-    finally:
-        _held_factors.reset(token)
-
-
-def _axis_factors(points, grid, mol):
-    """Gaussian factors of every point against the grid axis, shape (d, P, n).
-
-    Inside factor_storage() they are written into the held array, which is
-    replaced only when the shape changes; outside it, into a new one.
-    """
+def _axis_factors(points, grid, mol, out=None):
+    """Gaussian factors of every point against the grid axis, shape (d, P, n),
+    written into out when given."""
     shape = (grid.dim, points.shape[0], grid.cells_per_dim)
-    held = _held_factors.get()
-    if held and held[0].shape == shape:
-        factors = held[0]
-    else:
-        factors = np.empty(shape)
-        if held is not None:
-            held[:] = [factors]
-    for s in range(grid.dim):
-        _gauss_factors(points[:, s], grid.axis, mol, factors[s])
-    return factors
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or not out.flags.c_contiguous:
+        raise ValueError(f"factor buffer must be a C-contiguous array of shape {shape}")
+    return _gauss_factors(points.T, grid.axis, mol, out)
+
+
+def _factor_blocks(points, grid, mol, factors=None):
+    """Yield (rows, g) over the grid sums' blocks of rows of points, with g
+    the block's axis factors, shape (d, rows, n).
+
+    g is sliced from factors, the (d, P, n) output of _axis_factors, when it
+    is given; otherwise it is built for a span of blocks at a time (see
+    _FACTOR_SPAN), so no (P, n) matrix is held.
+    """
+    n, d = grid.cells_per_dim, grid.dim
+    block = max(1, _BLOCK // n ** (d - 1))
+    span = block * max(1, _FACTOR_SPAN // (block * n))
+    for lo in range(0, points.shape[0], span):
+        if factors is None:
+            g = _axis_factors(points[lo : lo + span], grid, mol)
+        else:
+            g = factors[:, lo : lo + span]
+        for b in range(0, g.shape[1], block):
+            yield slice(lo + b, lo + b + block), g[:, b : b + block]
 
 
 def _density_tiny(w, mol):
@@ -273,23 +268,22 @@ def _normal_operand(a):
     return a * (a >= _SQRT_TINY)
 
 
-def _density(ens, grid, mol, factors):
-    """(density, log_density) at every cell from the particles' axis factors."""
+def _density(ens, grid, mol, factors=None):
+    """(density, log_density) at every cell, from the particles' axis factors
+    when given (see _factor_blocks)."""
     v, w = ens.velocities, ens.weights
     n, d = grid.cells_per_dim, grid.dim
     nw = mol.norm_const * w
     dens = np.zeros((n, n ** (d - 1)))
-    block = max(1, _BLOCK // n ** (d - 1))
-    for lo in range(0, ens.size, block):
-        rows = slice(lo, lo + block)
+    for rows, g in _factor_blocks(v, grid, mol, factors):
         # tail[k, (b, c)] = norm_const w_k E2[k, b] E3[k, c]; contract particles
         # against E1. Every operand is zero or >= sqrt(DBL_MIN), so every
         # product is zero or normal.
-        tail = _flush(factors[-1][rows] * nw[rows, None], _SQRT_TINY)
+        tail = _flush(g[-1] * nw[rows, None], _SQRT_TINY)
         if d == 3:
-            tail = _normal_operand(factors[1][rows])[:, :, None] * tail[:, None, :]
+            tail = _normal_operand(g[1])[:, :, None] * tail[:, None, :]
             tail = _flush(tail.reshape(-1, n * n), _SQRT_TINY)
-        dens += _normal_operand(factors[0][rows]).T @ tail
+        dens += _normal_operand(g[0]).T @ tail
     dens = dens.reshape(-1)
 
     floor = np.log(w.min()) - 745.0
@@ -319,17 +313,14 @@ def _derivative_factors(x, axis, g, mol):
     return _flush(dg) if mol.eps < _SCORE_FLUSH_EPS else dg
 
 
-def _score(grid, mol, log_density, targets, factors):
-    """Score at the targets from their axis factors, in blocks of targets."""
+def _score(grid, mol, log_density, targets, factors=None):
+    """Score at the targets, in blocks of targets, from their axis factors
+    when given (see _factor_blocks)."""
     n, d = grid.cells_per_dim, grid.dim
     axis = grid.axis
     ld = log_density.reshape((n,) * d)
-    t_total = targets.shape[0]
-    block = max(1, _BLOCK // n ** (d - 1))
-    out = np.empty((t_total, d))
-    for lo in range(0, t_total, block):
-        rows = slice(lo, lo + block)
-        gs = [f[rows] for f in factors]
+    out = np.empty((targets.shape[0], d))
+    for rows, gs in _factor_blocks(targets, grid, mol, factors):
         dgs = [_derivative_factors(targets[rows, s], axis, gs[s], mol) for s in range(d)]
         if d == 2:
             out[rows, 0] = np.einsum("ib,ib->i", dgs[0] @ ld, gs[1])
@@ -353,7 +344,7 @@ def mollified_grid_density(ens, grid, mol):
     exponents where it is not, and is clamped below at log(min w) - 745 so it
     is never -inf.
     """
-    return _density(ens, grid, mol, _axis_factors(ens.velocities, grid, mol))
+    return _density(ens, grid, mol)
 
 
 def grid_log_density(ens, grid, mol):
@@ -369,17 +360,19 @@ def score_field(ens, grid, mol, targets):
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     log_density = grid_log_density(ens, grid, mol)
-    return _score(grid, mol, log_density, targets, _axis_factors(targets, grid, mol))
+    return _score(grid, mol, log_density, targets)
 
 
-def grid_fields(ens, grid, mol):
+def grid_fields(ens, grid, mol, out=None):
     """((density, log_density), scores at the particles) for one step.
 
     Bit-identical to mollified_grid_density(ens, grid, mol) together with
-    score_field(ens, grid, mol, ens.velocities), with the particles' axis
-    factors built once and shared by both sums.
+    score_field(ens, grid, mol, ens.velocities). The particles' axis factors
+    are built once, shape (d, N, n), and shared by both sums; they are
+    written into out when given (simulate.run passes one buffer to every
+    step), else into a new array.
     """
-    factors = _axis_factors(ens.velocities, grid, mol)
+    factors = _axis_factors(ens.velocities, grid, mol, out)
     density_pair = _density(ens, grid, mol, factors)
     return density_pair, _score(grid, mol, density_pair[1], ens.velocities, factors)
 

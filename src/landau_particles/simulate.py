@@ -24,7 +24,6 @@ from .exact import bimaxwellian_init, bkw_eval, bkw_params, maxwellian, rosenblu
 from .kernels import CollisionKernelSpec, Mollifier
 from .particles import (
     QuadratureGrid,
-    factor_storage,
     grid_fields,
     init_from_density,
     min_pair_distance,
@@ -100,6 +99,8 @@ class SimulationConfig:
             raise ValueError("the bimaxwellian initial condition is two-dimensional")
         if self.initial_condition == "rosenbluth" and self.dim != 3:
             raise ValueError("the rosenbluth initial condition is three-dimensional")
+        if self.snapshot_stride < 0:
+            raise ValueError("snapshot_stride must be >= 0 (0 writes only the final step)")
         if self.relative_entropy_reference not in ("standard", "moments"):
             raise ValueError("relative_entropy_reference must be standard or moments")
         return self
@@ -188,13 +189,6 @@ def check_domain(ens, half_width):
     return DomainReport(escaped_count=count, max_overshoot=worst)
 
 
-def _step_fields(ens, grid, mol, spec, engine):
-    """Per-step evaluations shared by stepping and diagnostics."""
-    density_pair, scores = grid_fields(ens, grid, mol)
-    velocities = engine(ens, scores, spec)
-    return density_pair, scores, velocities
-
-
 def _advance(state, velocities, dt, t_next):
     v_new = state.ensemble.velocities + dt * velocities
     finite = np.isfinite(v_new).all(axis=1)
@@ -209,9 +203,8 @@ def euler_step(state, cfg, engine=None):
     """One forward-Euler step; weights unchanged, new state returned."""
     if engine is None:
         engine = make_engine(cfg)
-    _, _, velocities = _step_fields(
-        state.ensemble, cfg.grid(), cfg.mollifier(), cfg.kernel_spec(), engine
-    )
+    _, scores = grid_fields(state.ensemble, cfg.grid(), cfg.mollifier())
+    velocities = engine(state.ensemble, scores, cfg.kernel_spec())
     return _advance(state, velocities, cfg.dt, cfg.t_start + (state.step + 1) * cfg.dt)
 
 
@@ -224,17 +217,18 @@ class RunResult:
     mollifier: object
 
 
-@factor_storage()
 def run(cfg, on_snapshot=None, progress=None):
     """Initialize, march to t_end, and collect one DiagnosticsRecord per step.
 
     Records cover steps 0..n_steps inclusive (the step-0 record describes the
     initial state; t_end = t_start yields exactly that record). on_snapshot,
-    when given, is called as on_snapshot(step, time, ensemble) at step 0,
-    every snapshot_stride steps, and at the final step. Reductions run in
-    fixed index order, so reruns of one config are bit-identical. The grid
-    sums of the steps and of on_snapshot share one factor_storage(), released
-    on return.
+    when given, is called as on_snapshot(step, time, ensemble) at the final
+    step and, for snapshot_stride > 0, at every step that is a multiple of it
+    (step 0 included). Reductions run in fixed index order, so reruns of one
+    config are bit-identical. Every step's grid_fields writes the particles'
+    axis factors into one (d, N, n) buffer that run allocates after
+    initialization; grid sums called from on_snapshot build their own
+    factors per block of rows.
     """
     cfg.validate()
     grid = cfg.grid()
@@ -242,12 +236,14 @@ def run(cfg, on_snapshot=None, progress=None):
     spec = cfg.kernel_spec()
     engine = make_engine(cfg)
     ens = init_from_density(initial_density(cfg), grid)
+    factors = np.empty((grid.dim, ens.size, grid.cells_per_dim))
     state = SimulationState(time=cfg.t_start, step=0, ensemble=ens)
     n_steps = cfg.n_steps
     records = []
     for k in range(n_steps + 1):
         ens = state.ensemble
-        density_pair, scores, velocities = _step_fields(ens, grid, mol, spec, engine)
+        density_pair, scores = grid_fields(ens, grid, mol, out=factors)
+        velocities = engine(ens, scores, spec)
         mass, momentum, energy = moments(ens)
         rec = DiagnosticsRecord(
             step=k,

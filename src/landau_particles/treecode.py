@@ -23,10 +23,10 @@ are a constant matrix, cached per (gamma, p, d), times the per-target
 monomials q^j of q = u/|u|^2, scaled by |u|^beta. One |u|^gamma
 expansion serves every collision-matrix component: with
 A_rr = B sum_(t != r) u_t^2 |u|^gamma and A_rs = -B u_r u_s |u|^gamma, the
-quadratic prefactors act as shifts of the cluster moments. The providers
-form the coefficients only inside their far-field sums over k of a^k m^k;
-taylor_coeffs_* evaluate that sum at unit moments (m^k = e_k), which returns
-the coefficients themselves.
+quadratic prefactors act as shifts of the cluster moments. The kernel-matrix
+provider forms the coefficients only inside its far-field sum over k of
+a^k m^k; taylor_coeffs_A evaluates that sum at unit moments (m^k = e_k),
+which returns the coefficients themselves.
 """
 
 import functools
@@ -288,37 +288,6 @@ class GaussianProvider:
         return np.einsum("ts,cs->ct", psi, charges)[None, :, :]
 
 
-class GaussianGradProvider:
-    """Channels phi_s(x, y) = d_s psi_eps evaluated at x - y, s = 1..d."""
-
-    def __init__(self, mol):
-        self.mol = mol
-        self.n_outputs = mol.dim
-
-    def far_contribution(self, targets, center, node_moments, order):
-        dim = self.mol.dim
-        u = center[None, :] - targets
-        table = _gaussian_coeff_table(u, self.mol, order)
-        fwd = _shift_tables(order, dim)
-        mom_pad = np.concatenate(
-            [node_moments, np.zeros((node_moments.shape[0], 1))], axis=1
-        )
-        s0 = node_moments @ table  # (C, F)
-        out = np.empty((dim, node_moments.shape[0], targets.shape[0]))
-        for s in range(dim):
-            s1 = mom_pad[:, fwd[1 + s]] @ table
-            out[s] = (u[:, s][None, :] * s0 + s1) / self.mol.eps
-        return out
-
-    def direct_sum(self, targets, sources, charges):
-        diff = targets[:, None, :] - sources[None, :, :]
-        psi = self.mol.norm_const * np.exp(
-            -np.einsum("tsd,tsd->ts", diff, diff) / (2.0 * self.mol.eps)
-        )
-        vals = -(diff / self.mol.eps) * psi[:, :, None]  # (T, S, d)
-        return np.einsum("tsd,cs->dct", vals, charges)
-
-
 class KernelMatrixProvider:
     """Channels: the independent components of A(x - y), diagonal entries first.
 
@@ -424,22 +393,21 @@ class KernelMatrixProvider:
         return res
 
 
-def _unit_moment_coeffs(provider, x, y_c, order):
-    """Far-field sum of one target at unit moments: the coefficients a^k."""
-    x = np.asarray(x, dtype=float)
-    y_c = np.asarray(y_c, dtype=float)
-    p_count = len(_index_tables(order, x.shape[0])[0])
-    return provider.far_contribution(x[None, :], y_c, np.eye(p_count), order)[:, :, 0]
-
-
 def taylor_coeffs_gaussian(x, y_c, mol, order):
-    """Taylor coefficients of psi_eps(x - .) about y_c, shape (P,)."""
-    return _unit_moment_coeffs(GaussianProvider(mol), x, y_c, order)[0]
+    """Taylor coefficients a^k of psi_eps(x - .) about y_c, shape (P,)."""
+    u = np.asarray(y_c, dtype=float) - np.asarray(x, dtype=float)
+    return _gaussian_coeff_table(u[None, :], mol, order)[:, 0]
 
 
 def taylor_coeffs_gaussian_grad(x, y_c, mol, order):
-    """Coefficients of each component of grad psi_eps(x - .), shape (d, P)."""
-    return _unit_moment_coeffs(GaussianGradProvider(mol), x, y_c, order)
+    """Coefficients of each component of grad psi_eps(x - .), shape (d, P):
+    (u_s a^k + a^(k - e_s)) / eps with u = y_c - x, where a^(k - e_s) = 0 for
+    k_s = 0."""
+    u = np.asarray(y_c, dtype=float) - np.asarray(x, dtype=float)
+    a = taylor_coeffs_gaussian(x, y_c, mol, order)
+    im1 = _index_tables(order, u.shape[0])[2]
+    lower = np.where(im1 >= 0, a[im1], 0.0).T  # (d, P)
+    return (u[:, None] * a + lower) / mol.eps
 
 
 def taylor_coeffs_A(x, y_c, spec, order):
@@ -448,7 +416,12 @@ def taylor_coeffs_A(x, y_c, spec, order):
     Component order follows component_pairs(spec.dim). Raises NearFieldError
     when |x - y_c| <= Z_FLOOR.
     """
-    return _unit_moment_coeffs(KernelMatrixProvider(spec), x, y_c, order)
+    x = np.asarray(x, dtype=float)
+    p_count = len(_index_tables(order, x.shape[0])[0])
+    far = KernelMatrixProvider(spec).far_contribution(
+        x[None, :], np.asarray(y_c, dtype=float), np.eye(p_count), order
+    )
+    return far[:, :, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -468,10 +441,6 @@ class ClusterNode:
     @property
     def is_leaf(self):
         return not self.children
-
-    @property
-    def size(self):
-        return self.end - self.start
 
 
 class ClusterTree:

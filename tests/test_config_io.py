@@ -82,6 +82,12 @@ def test_parse_bad_value_reported():
         parse_config("[simulation]\npreset = bkw2d\ndt = fast\n")
 
 
+def test_parse_rejects_negative_snapshot_stride():
+    with pytest.raises(ValueError, match="snapshot_stride"):
+        parse_config("[simulation]\npreset = bkw2d\nsnapshot_stride = -3\n")
+    assert parse_config("[simulation]\npreset = bkw2d\nsnapshot_stride = 0\n").snapshot_stride == 0
+
+
 def test_parse_preset_with_overrides():
     cfg = parse_config(
         "[simulation]\npreset = bkw2d\ncells_per_dim = 80\n\n[engine]\nengine = treecode\n"

@@ -28,7 +28,6 @@ from landau_particles.particles import (
     _axis_factors,
     _density_tiny,
     _derivative_factors,
-    factor_storage,
     mollified_grid_density,
 )
 
@@ -353,18 +352,36 @@ def test_grid_fields_bit_identical_to_separate_sums(dim, n_cells, n_particles):
     assert np.array_equal(dens2, dens)
     assert np.array_equal(log_dens2, log_dens)
     assert np.array_equal(scores2, scores)
-    # the same inside a held factor storage, where each sum overwrites the
-    # factors of the one before
-    targets = ens.velocities[::3]
-    target_scores = score_field(ens, grid, mol, targets)
-    with factor_storage():
-        for _ in range(2):
-            (dens3, log_dens3), scores3 = grid_fields(ens, grid, mol)
-            assert np.array_equal(dens3, dens)
-            assert np.array_equal(log_dens3, log_dens)
-            assert np.array_equal(scores3, scores)
-            assert np.array_equal(mollified_grid_density(ens, grid, mol)[0], dens)
-            assert np.array_equal(score_field(ens, grid, mol, targets), target_scores)
+    # the same with the factors written into a caller's buffer, reused
+    buf = np.full((dim, n_particles, n_cells), np.nan)
+    for _ in range(2):
+        (dens3, log_dens3), scores3 = grid_fields(ens, grid, mol, out=buf)
+        assert np.array_equal(buf, _axis_factors(ens.velocities, grid, mol))
+        assert np.array_equal(dens3, dens)
+        assert np.array_equal(log_dens3, log_dens)
+        assert np.array_equal(scores3, scores)
+    with pytest.raises(ValueError, match="factor buffer"):
+        grid_fields(ens, grid, mol, out=buf[:, 1:])
+
+
+def test_grid_sums_hold_no_whole_factor_matrix():
+    # N = 6400 particles, one per cell of an 80^2 grid: one (N, n) factor
+    # matrix takes 4 MB. Outside grid_fields the sums build their factors per
+    # block of rows.
+    grid = QuadratureGrid(dim=2, half_width=4.0, cells_per_dim=80)
+    mol = Mollifier(eps=0.64 * grid.spacing**1.98, dim=2)
+    ens = init_from_density(maxwellian, grid)
+    assert ens.size == grid.num_cells
+    factor_bytes = ens.size * grid.cells_per_dim * 8
+    for call in (lambda: mollified_grid_density(ens, grid, mol),
+                 lambda: score_field(ens, grid, mol, ens.velocities)):
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < factor_bytes
 
 
 @pytest.mark.parametrize(

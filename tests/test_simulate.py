@@ -7,8 +7,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from landau_particles import ParticleEnsemble, grid_fields, particles
+from landau_particles import ParticleEnsemble
 from landau_particles.config import preset
+from landau_particles.output import write_snapshot
 from landau_particles.simulate import (
     BlowUpError,
     SimulationConfig,
@@ -162,6 +163,9 @@ def test_run_snapshot_schedule():
 
     run(cfg, on_snapshot=on_snapshot)
     assert seen == [0, 4, 8, 10]  # stride hits plus the final step
+    seen.clear()
+    run(replace(cfg, snapshot_stride=0), on_snapshot=on_snapshot)
+    assert seen == [10]  # stride 0: the final step only
 
 
 def test_run_treecode_engine_matches_direct_for_maxwell():
@@ -183,47 +187,30 @@ def test_run_maxwellian_stays_near_equilibrium():
     assert relT <= 2.0 * rel0
 
 
-def _grid_fields_peak(ens, grid, mol):
-    """tracemalloc peak of one grid_fields call, in bytes."""
+def test_run_step_allocates_less_than_one_factor_matrix(tmp_path):
+    # N = 6400 particles on an 80^2 grid: one (N, n) factor matrix takes 4 MB.
+    # Each step's grid_fields writes into the buffer run allocates once, and
+    # the snapshot's grid sums build their factors per block of rows.
+    cfg = tiny_cfg(cells_per_dim=80, t_end=0.03, snapshot_stride=1)
+    grid, mol = cfg.grid(), cfg.mollifier()
+    rises = []
+    current = []
+
+    def on_snapshot(step, t, ens):
+        write_snapshot(ens, grid, mol, t, tmp_path, tag=f"{step:06d}")
+
+    def progress(step, n_steps, rec):
+        now, peak = tracemalloc.get_traced_memory()
+        if current:
+            rises.append(peak - current[-1])
+        current.append(now)
+        tracemalloc.reset_peak()
+
     tracemalloc.start()
     try:
-        grid_fields(ens, grid, mol)
-        return tracemalloc.get_traced_memory()[1]
+        result = run(cfg, on_snapshot=on_snapshot, progress=progress)
     finally:
         tracemalloc.stop()
-
-
-def test_run_grid_sums_reuse_one_factor_storage():
-    # N = 6400 particles on an 80^2 grid: one (N, n) factor matrix takes 4 MB,
-    # while the blocked sums' temporaries stay near 1 MB
-    cfg = tiny_cfg(cells_per_dim=80, t_end=0.02, snapshot_stride=1)
-    grid, mol = cfg.grid(), cfg.mollifier()
-    seen = []
-
-    def on_snapshot(step, t, ens):
-        # the step's own grid_fields call has just filled the run's storage
-        factors = particles._held_factors.get()[0]
-        seen.append((factors.shape, _grid_fields_peak(ens, grid, mol)))
-        assert particles._held_factors.get()[0] is factors
-        seen.append((factors.shape, _grid_fields_peak(ens, grid, mol)))
-
-    result = run(cfg, on_snapshot=on_snapshot)
-    n_particles = result.ensemble.size
-    factor_bytes = n_particles * grid.cells_per_dim * 8
-    assert len(seen) == 2 * (cfg.n_steps + 1)
-    for shape, peak in seen:
-        assert shape == (2, n_particles, grid.cells_per_dim)
-        assert peak < factor_bytes
-    # the storage is released on return; outside a run each call allocates
-    # its factor matrices
-    assert particles._held_factors.get() is None
-    assert _grid_fields_peak(result.ensemble, grid, mol) > 2 * factor_bytes
-
-
-def test_run_releases_factor_storage_on_error():
-    def on_snapshot(step, t, ens):
-        raise RuntimeError("snapshot failed")
-
-    with pytest.raises(RuntimeError):
-        run(tiny_cfg(), on_snapshot=on_snapshot)
-    assert particles._held_factors.get() is None
+    assert len(rises) == cfg.n_steps >= 2
+    factor_bytes = result.ensemble.size * grid.cells_per_dim * 8
+    assert max(rises) < factor_bytes

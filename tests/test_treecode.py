@@ -49,7 +49,7 @@ def test_build_tree_single_leaf():
     pts = np.random.default_rng(0).normal(size=(5, 3))
     tree = build_tree(pts, TreecodeParams(leaf_capacity=8))
     assert tree.root.is_leaf
-    assert tree.root.size == 5
+    assert tree.root.end - tree.root.start == 5
 
 
 def test_build_tree_cube_corners_octree():
@@ -57,7 +57,7 @@ def test_build_tree_cube_corners_octree():
     tree = build_tree(corners, TreecodeParams(leaf_capacity=1))
     assert not tree.root.is_leaf
     assert len(tree.root.children) == 8
-    assert all(ch.is_leaf and ch.size == 1 for ch in tree.root.children)
+    assert all(ch.is_leaf and ch.end - ch.start == 1 for ch in tree.root.children)
     assert np.allclose(tree.root.center, 0.0)
     assert tree.root.radius == pytest.approx(np.sqrt(3.0), rel=1e-14)
 
