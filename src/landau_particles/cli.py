@@ -1,8 +1,8 @@
 """Command-line entry points: run, convergence, treecode-bench, validate."""
 
 import argparse
-import math
 import os
+import statistics
 import sys
 import time
 from dataclasses import replace
@@ -193,7 +193,7 @@ def bench_instance(n_side, seed, dim=3):
     return ParticleEnsemble(v, w), f
 
 
-# Minimum span of calls behind each treecode_bench timing (see _min_times).
+# Minimum span of calls behind each treecode_bench timing (see _call_times).
 MIN_TIMING_S = 2.0
 
 
@@ -203,9 +203,11 @@ def treecode_bench(n_list, theta, order, leaf_capacity, repeats=2, seed=0, gamma
     This is the engine-differing cost of one collision step (the pairwise
     kernel summation); each timing is the minimum over at least `repeats`
     calls and at least MIN_TIMING_S seconds of calls, with all engines and
-    sizes taking turns (see _min_times).
+    sizes taking turns (see _call_times). Each row also gives the number of
+    calls behind each timing and their median, since a short call is timed
+    more often than a long one and its minimum is the more favourable.
     Returns one row per resolution with times, the per-target sums' relative
-    L2 deviation, and consecutive-size time ratios.
+    L2 deviation, and consecutive-size ratios of the minimum times.
     """
     spec = CollisionKernelSpec(
         gamma=gamma,
@@ -218,14 +220,17 @@ def treecode_bench(n_list, theta, order, leaf_capacity, repeats=2, seed=0, gamma
     for ens, f in instances:
         calls.append((velocity_field_direct, (ens, f, spec)))
         calls.append((treecode_velocity_field, (ens, f, spec, params)))
-    timings = _min_times(calls, repeats)
+    timings = _call_times(calls, repeats)
     rows = []
     for i, (n_side, (ens, _)) in enumerate(zip(n_list, instances)):
-        (t_direct, u_direct), (t_tree, u_tree) = timings[2 * i : 2 * i + 2]
+        (times_direct, u_direct), (times_tree, u_tree) = timings[2 * i : 2 * i + 2]
         rel = float(np.linalg.norm(u_tree - u_direct) / np.linalg.norm(u_direct))
         rows.append({
             "n_side": n_side, "n_particles": ens.size,
-            "t_direct": t_direct, "t_treecode": t_tree, "rel_l2": rel,
+            "t_direct": min(times_direct), "t_treecode": min(times_tree), "rel_l2": rel,
+            "calls_direct": len(times_direct), "calls_treecode": len(times_tree),
+            "t_direct_median": statistics.median(times_direct),
+            "t_treecode_median": statistics.median(times_tree),
         })
     for prev, cur in zip(rows, rows[1:]):
         cur["ratio_direct"] = cur["t_direct"] / prev["t_direct"]
@@ -233,8 +238,8 @@ def treecode_bench(n_list, theta, order, leaf_capacity, repeats=2, seed=0, gamma
     return rows
 
 
-def _min_times(calls, repeats):
-    """Minimum wall time and result of each fn(*args) in calls.
+def _call_times(calls, repeats):
+    """(wall time of every call, last result) of each fn(*args) in calls.
 
     Calls each fn at least `repeats` times and until MIN_TIMING_S seconds of
     its calls have been spent; evaluations that take MIN_TIMING_S / repeats or
@@ -246,20 +251,20 @@ def _min_times(calls, repeats):
     sits out the later rounds.
     """
     count = len(calls)
-    best, spent, done = [math.inf] * count, [0.0] * count, [0] * count
+    times = [[] for _ in range(count)]
     out = [None] * count
     while True:
         pending = [
-            i for i in range(count) if done[i] < repeats or spent[i] < MIN_TIMING_S
+            i for i in range(count)
+            if len(times[i]) < repeats or sum(times[i]) < MIN_TIMING_S
         ]
         if not pending:
-            return list(zip(best, out))
+            return list(zip(times, out))
         for i in pending:
             fn, args = calls[i]
             t0 = time.perf_counter()
             out[i] = fn(*args)
-            t = time.perf_counter() - t0
-            best[i], spent[i], done[i] = min(best[i], t), spent[i] + t, done[i] + 1
+            times[i].append(time.perf_counter() - t0)
 
 
 def cmd_treecode_bench(args):
@@ -269,22 +274,30 @@ def cmd_treecode_bench(args):
         leaf_capacity=args.leaf_capacity, repeats=args.repeats, seed=args.seed,
     )
     print(f"{'N':>8} {'direct[s]':>10} {'treecode[s]':>12} {'relL2':>10} "
-          f"{'r_direct':>9} {'r_tree':>7}")
+          f"{'r_direct':>9} {'r_tree':>7} {'med_direct[s]':>14} {'med_tree[s]':>12} "
+          f"{'calls':>9}")
     for r in rows:
         rd = f"{r.get('ratio_direct', float('nan')):9.2f}"
         rt = f"{r.get('ratio_treecode', float('nan')):7.2f}"
+        calls = f"{r['calls_direct']}/{r['calls_treecode']}"
         print(f"{r['n_particles']:>8} {r['t_direct']:>10.3f} {r['t_treecode']:>12.3f} "
-              f"{r['rel_l2']:>10.2e} {rd} {rt}")
+              f"{r['rel_l2']:>10.2e} {rd} {rt} {r['t_direct_median']:>14.3f} "
+              f"{r['t_treecode_median']:>12.3f} {calls:>9}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "treecode_bench.csv")
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("n_particles,t_direct,t_treecode,rel_l2,ratio_direct,ratio_treecode\n")
+            fh.write(
+                "n_particles,t_direct,t_treecode,rel_l2,ratio_direct,ratio_treecode,"
+                "calls_direct,calls_treecode,t_direct_median,t_treecode_median\n"
+            )
             for r in rows:
                 fh.write(
                     f"{r['n_particles']},{r['t_direct']!r},{r['t_treecode']!r},"
                     f"{r['rel_l2']!r},{r.get('ratio_direct', '')!r},"
-                    f"{r.get('ratio_treecode', '')!r}\n"
+                    f"{r.get('ratio_treecode', '')!r},{r['calls_direct']},"
+                    f"{r['calls_treecode']},{r['t_direct_median']!r},"
+                    f"{r['t_treecode_median']!r}\n"
                 )
         print(f"wrote {path}")
     return 0

@@ -6,7 +6,9 @@ mollified particle density g on the fixed grid, and the dissipation is the
 nonnegative quadratic form pairing score differences through the collision
 matrix. Blob reconstruction convolves the particle measure with the mollifier
 for visualization and error norms. Both reuse the solver's kernels (the pair
-tiles and the per-axis Gaussian factors of particles), in bounded memory.
+tiles and the per-axis Gaussian factors of particles), in bounded memory. The
+entropies and the blob on the grid take the step's density pair: passed in, or
+recalled by mollified_grid_density from the step's grid_fields.
 """
 
 import math
@@ -54,7 +56,7 @@ def discrete_entropy(ens, grid, mol, density_pair=None):
     """Quadrature entropy sum_l h^d g_l log g_l of the mollified density.
 
     Cells whose density underflows contribute zero (the x log x -> 0 limit).
-    Pass density_pair = (density, log_density) to reuse a per-step cache.
+    Pass density_pair = (density, log_density) to reuse the step's pair.
     """
     if density_pair is None:
         density_pair = mollified_grid_density(ens, grid, mol)
@@ -123,25 +125,42 @@ def blob_eval(ens, mol, points):
     """Blob reconstruction sum_i w_i psi_eps(p - v_i) at arbitrary points.
 
     Products of the per-axis Gaussian factors, flushed below DBL_MIN as in the
-    grid sums, in (points, N) blocks of at most 2^17 doubles.
+    grid sums, in (points, N) blocks of at most 2^17 doubles. Each axis's
+    factors are built once per distinct coordinate of a block (an axis
+    slice's points share every coordinate but one) and multiplied into its
+    rows 2^14 doubles at a time.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     v = ens.velocities
     nw = mol.norm_const * ens.weights
     block = max(1, 2**17 // ens.size)
+    chunk = max(1, 2**14 // ens.size)
     out = np.empty(points.shape[0])
+    psi_buf = np.empty((min(block, points.shape[0]), ens.size))
     for lo in range(0, points.shape[0], block):
         pts = points[lo : lo + block]
-        psi = _gauss_factors(pts[:, 0], v[:, 0], mol)
-        for s in range(1, ens.dim):
-            psi *= _gauss_factors(pts[:, s], v[:, s], mol)
-            _flush(psi)
-        out[lo : lo + block] = psi @ nw
+        psi = psi_buf[: pts.shape[0]]
+        for s in range(ens.dim):
+            coords, rows = np.unique(pts[:, s], return_inverse=True)
+            factors = _gauss_factors(coords, v[:, s], mol)
+            if s == 0:
+                # mode="clip" writes straight into psi; the default buffers it
+                np.take(factors, rows, axis=0, out=psi, mode="clip")
+                continue
+            for c in range(0, rows.size, chunk):
+                part = psi[c : c + chunk]
+                part *= factors[rows[c : c + chunk]]
+                _flush(part)
+        out[lo : lo + pts.shape[0]] = psi @ nw
     return out
 
 
 def blob_on_grid(ens, grid, mol):
-    """Blob values at the grid centers (tensor-product fast path), shape (n^d,)."""
+    """Blob values at the grid centers (tensor-product fast path), shape (n^d,).
+
+    The density of mollified_grid_density: the pair of the step's grid_fields
+    when it was built for this ensemble object.
+    """
     return mollified_grid_density(ens, grid, mol)[0]
 
 

@@ -2,6 +2,9 @@
 
 All floats are written with shortest round-trip formatting (Python repr), so
 files parse back bit-exactly and deterministic reruns are byte-identical.
+repr is the floor of the cost: rows are formatted by one format string per
+block, and the blob file's grid coordinates, which are grid-axis values, are
+formatted once per axis value and joined per row.
 """
 
 import json
@@ -73,26 +76,52 @@ def axis_slice_points(grid, axis):
     return pts
 
 
+# Rows of a CSV formatted by one call; their floats and text take a few
+# hundred KB.
+_CSV_ROWS = 1024
+
+
 def _write_csv(path, header, columns):
     """Header plus one row per entry of the column-stacked float arrays.
 
-    Rows are formatted and written one at a time, so no list of every row's
-    Python floats or text is held at once.
+    Rows are formatted _CSV_ROWS at a time by one format string, so no list
+    of every row's Python floats or text is held at once.
     """
+    table = np.column_stack(columns)
+    line = ",".join(["%r"] * table.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        fh.writelines(
-            ",".join(map(repr, row.tolist())) + "\n"
-            for row in np.column_stack(columns)
-        )
+        for lo in range(0, table.shape[0], _CSV_ROWS):
+            rows = table[lo : lo + _CSV_ROWS]
+            fh.write((line * rows.shape[0]) % tuple(rows.ravel().tolist()))
+    return path
+
+
+def _write_grid_csv(path, header, grid, values):
+    """Header plus one row "c_1,...,c_d,value" per grid center, in the C order
+    of grid.centers.
+
+    The centers' coordinates are grid-axis values, so each is formatted once
+    and the rows join those strings; the values are formatted one line of the
+    last axis at a time.
+    """
+    axis = [repr(c) + "," for c in grid.axis.tolist()]
+    heads = [""]
+    for _ in range(grid.dim - 1):
+        heads = [head + c for head in heads for c in axis]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for head, row in zip(heads, values.reshape(len(heads), -1)):
+            fh.writelines(f"{head}{c}{x!r}\n" for c, x in zip(axis, row.tolist()))
     return path
 
 
 def write_snapshot(ens, grid, mol, time, outdir, tag):
     """Particles, blob-on-grid, and per-axis origin slices as three CSV groups.
 
-    Returns the list of file paths written. Slice values are blob_eval at the
-    slice points exactly.
+    Returns the list of file paths written. The blob is the step's density:
+    inside simulate.run, the pair grid_fields built for this ensemble, not a
+    second sum. Slice values are blob_eval at the slice points exactly.
     """
     outdir = str(outdir)
     dim = grid.dim
@@ -102,9 +131,9 @@ def write_snapshot(ens, grid, mol, time, outdir, tag):
             f"{outdir}/particles_{tag}.csv", f"w,{vcols}",
             [ens.weights, ens.velocities],
         ),
-        _write_csv(
+        _write_grid_csv(
             f"{outdir}/blob_{tag}.csv", f"{vcols},blob",
-            [grid.centers, blob_on_grid(ens, grid, mol)],
+            grid, blob_on_grid(ens, grid, mol),
         ),
     ]
     for axis in range(dim):

@@ -13,7 +13,11 @@ builds the particles' (d, N, n) factors once per step, into a buffer the
 caller may pass (simulate.run passes one for the whole run), and shares them
 between the density and the score at the particles; every other grid sum
 builds its factors a few blocks of rows at a time, so beyond the factors the
-working set stays small and no whole factor matrix is held.
+working set stays small and no whole factor matrix is held. grid_fields also
+remembers its density pair, read-only, for its ensemble object until the next
+call or until that ensemble is gone, and mollified_grid_density returns it for
+the same ensemble, grid and mollifier: a snapshot's blob is the step's
+density, not a second sum.
 
 Factors below the smallest normal double DBL_MIN are set to exact zeros. On
 x86, subnormal results go through microcode assists, which made exp and the
@@ -36,6 +40,7 @@ elementwise passes and one power, contracted by small matrix products (about
 O(N + PAIR_TILE^2) memory; diagnostics.dissipation sums over the same tiles.
 """
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +77,10 @@ _BLOCK = 2**15
 # given them, rounded down to whole blocks (at least one). A 3D block is only
 # 81 rows at n = 20, and building factors per block made the density ~8% slower.
 _FACTOR_SPAN = 2**13
+
+# Particles whose nearest-neighbour distances bound min_pair_distance's
+# search; on the benchmark ensembles 16 to 256 gave the same search time.
+_NN_SAMPLES = 32
 
 # Side of the square tiles of the gamma != 0 pair sweep. One tile pair holds
 # 2d + 3 (PAIR_TILE, PAIR_TILE) float arrays, about 1.2 MB in 3D, which stays
@@ -209,10 +218,13 @@ def _gauss_exponents(x, y, mol, out=None):
 
 
 def _gauss_factors(x, y, mol, out=None):
-    """exp of _gauss_exponents, into out (C-contiguous) when given; exponents
-    below log(DBL_MIN) are set to -inf first, so exp returns an exact zero
-    there and never a subnormal. The masks for that cover blocks of rows of
-    ~2^16 entries."""
+    """exp of _gauss_exponents, into out when given; exponents below
+    log(DBL_MIN) are set to -inf first, so exp returns an exact zero there and
+    never a subnormal. The masks for that cover blocks of rows of ~2^16
+    entries of a flat row view, so out must be C-contiguous (a reshape of any
+    other out would mask a copy)."""
+    if out is not None and not out.flags.c_contiguous:
+        raise ValueError("Gaussian factors need a C-contiguous out")
     expo = _gauss_exponents(x, y, mol, out)
     flat = expo.reshape(-1, expo.shape[-1])
     rows = max(1, 2**16 // flat.shape[1])
@@ -335,6 +347,36 @@ def _score(grid, mol, log_density, targets, factors=None):
     return _flush(out)
 
 
+# The density pair of the last grid_fields call: (weak reference to its
+# ensemble, grid, mollifier, (density, log_density)). A density asked for later
+# in the step (a snapshot's blob) recalls it instead of summing again. One
+# entry, dropped with its ensemble, so at most one step's pair is held.
+_NO_DENSITY = (None, None, None, None)
+_last_density = _NO_DENSITY
+
+
+def _forget_density(ref):
+    global _last_density
+    if _last_density[0] is ref:
+        _last_density = _NO_DENSITY
+
+
+def _remember_density(ens, grid, mol, density_pair):
+    """Keep density_pair, made read-only, as the pair of (ens, grid, mol)."""
+    global _last_density
+    for a in density_pair:
+        a.setflags(write=False)
+    _last_density = (weakref.ref(ens, _forget_density), grid, mol, density_pair)
+
+
+def _recalled_density(ens, grid, mol):
+    """The remembered pair of (ens, grid, mol), or None."""
+    ref, held_grid, held_mol, density_pair = _last_density
+    if ref is not None and ref() is ens and held_grid == grid and held_mol == mol:
+        return density_pair
+    return None
+
+
 def mollified_grid_density(ens, grid, mol):
     """Density sum_k w_k psi_eps(v_l^c - v_k) and its log at every cell.
 
@@ -342,9 +384,12 @@ def mollified_grid_density(ens, grid, mol):
     the fast tensor-product sum where the density is above the flushing error
     cutoff (see the module docstring), by log-sum-exp over per-particle
     exponents where it is not, and is clamped below at log(min w) - 745 so it
-    is never -inf.
+    is never -inf. If the last grid_fields call was on this ensemble object,
+    grid and mollifier, its pair is returned (read-only), bit-identical to the
+    sum.
     """
-    return _density(ens, grid, mol)
+    recalled = _recalled_density(ens, grid, mol)
+    return _density(ens, grid, mol) if recalled is None else recalled
 
 
 def grid_log_density(ens, grid, mol):
@@ -370,10 +415,13 @@ def grid_fields(ens, grid, mol, out=None):
     score_field(ens, grid, mol, ens.velocities). The particles' axis factors
     are built once, shape (d, N, n), and shared by both sums; they are
     written into out when given (simulate.run passes one buffer to every
-    step), else into a new array.
+    step), else into a new array. The density pair is returned read-only and
+    remembered until the next call, or until ens is gone, for
+    mollified_grid_density on the same ensemble.
     """
     factors = _axis_factors(ens.velocities, grid, mol, out)
     density_pair = _density(ens, grid, mol, factors)
+    _remember_density(ens, grid, mol, density_pair)
     return density_pair, _score(grid, mol, density_pair[1], ens.velocities, factors)
 
 
@@ -502,9 +550,25 @@ def _velocity_field_maxwell(v, w, f, prefactor):
 
 
 def min_pair_distance(ens):
-    """Minimum pairwise particle distance; monitors Coulomb near-singularity risk."""
+    """Minimum pairwise particle distance; monitors Coulomb near-singularity risk.
+
+    The minimum of every particle's nearest-neighbour distance (cKDTree
+    queries with k = 2), computed exactly as the unbounded queries compute it.
+    The queries are bounded by the smallest nearest-neighbour distance among
+    about _NN_SAMPLES evenly strided particles, which the minimum cannot
+    exceed, so a particle with no neighbour that close is dropped after a few
+    tree nodes; that halves the search. Memory is O(N) on every ensemble,
+    coincident particles included: no list of pairs is formed.
+    """
     if ens.size < 2:
         raise ValueError("min_pair_distance needs at least two particles")
-    tree = cKDTree(ens.velocities)
-    dists, _ = tree.query(ens.velocities, k=2)
+    v = ens.velocities
+    # a sliding-midpoint tree builds in about half the time of a median split
+    tree = cKDTree(v, balanced_tree=False)
+    stride = max(1, ens.size // _NN_SAMPLES)
+    bound = float(tree.query(v[::stride], k=2)[0][:, 1].min())
+    if bound == 0.0:
+        return 0.0
+    # the slack keeps a pair at exactly the bound inside it
+    dists, _ = tree.query(v, k=2, distance_upper_bound=bound * (1.0 + 2.0**-20))
     return float(dists[:, 1].min())

@@ -227,8 +227,10 @@ def run(cfg, on_snapshot=None, progress=None):
     (step 0 included). Reductions run in fixed index order, so reruns of one
     config are bit-identical. Every step's grid_fields writes the particles'
     axis factors into one (d, N, n) buffer that run allocates after
-    initialization; grid sums called from on_snapshot build their own
-    factors per block of rows.
+    initialization. on_snapshot gets the step's ensemble object, so a density
+    it asks for (output.write_snapshot's blob) is the pair grid_fields built
+    for it in that step, recalled and not summed again; other grid sums called
+    from it build their own factors per block of rows.
     """
     cfg.validate()
     grid = cfg.grid()

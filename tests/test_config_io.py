@@ -20,6 +20,7 @@ from landau_particles.config import (
     parse_config,
     preset,
 )
+from landau_particles.diagnostics import blob_on_grid
 from landau_particles.output import (
     RunManifest,
     axis_slice_points,
@@ -161,6 +162,42 @@ def test_snapshot_files(tmp_path):
         assert np.array_equal(vals, expected)
 
 
+def _per_cell_csv(header, columns):
+    """A CSV formatted one repr per cell, the reference for the snapshot files."""
+    rows = np.column_stack(columns).tolist()
+    return header + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
+
+
+@pytest.mark.parametrize("dim,n", [(2, 9), (2, 10), (3, 5), (3, 6)])
+def test_snapshot_files_match_per_cell_formatting(tmp_path, dim, n):
+    # more particles than one block of formatted rows; an odd n puts a grid
+    # axis point at zero
+    rng = np.random.default_rng(70 + 10 * dim + n)
+    grid = QuadratureGrid(dim=dim, half_width=2.0, cells_per_dim=n)
+    mol = Mollifier(eps=0.3, dim=dim)
+    v = rng.normal(size=(2500, dim))
+    w = rng.uniform(0.2, 1.0, size=2500) / 2500
+    ens = ParticleEnsemble(v, w)
+    paths = write_snapshot(ens, grid, mol, time=0.0, outdir=tmp_path, tag="t")
+    by_name = {os.path.basename(p): p for p in paths}
+    vcols = ",".join(f"v_{s + 1}" for s in range(dim))
+    expected = {
+        "particles_t.csv": _per_cell_csv(f"w,{vcols}", [w, v]),
+        "blob_t.csv": _per_cell_csv(
+            f"{vcols},blob", [grid.centers, blob_on_grid(ens, grid, mol)]
+        ),
+    }
+    for axis in range(dim):
+        expected[f"slice_axis{axis + 1}_t.csv"] = _per_cell_csv(
+            f"v_{axis + 1},blob",
+            [grid.axis, blob_eval(ens, mol, axis_slice_points(grid, axis))],
+        )
+    assert sorted(by_name) == sorted(expected)
+    for name, text in expected.items():
+        with open(by_name[name], encoding="utf-8", newline="") as fh:
+            assert fh.read() == text, name
+
+
 def test_manifest_lists_outputs(tmp_path):
     manifest = RunManifest(config_text="x = 1\n", version="0.0", wall_seconds=1.5,
                            started_unix=1.0e9, outputs=[str(tmp_path / "a.csv")])
@@ -205,24 +242,42 @@ def test_bench_timing_spans_minimum_time(monkeypatch):
         clock[0] += Fraction(pause)
         return len(calls)
 
-    # short calls repeat until MIN_TIMING_S is spent; the minimum is reported
-    [(best, out)] = cli._min_times([(evaluation, (0.005,))], repeats=2)
+    # short calls repeat until MIN_TIMING_S is spent; every call is timed
+    [(times, out)] = cli._call_times([(evaluation, (0.005,))], repeats=2)
     assert len(calls) >= 10 and out == len(calls)
-    assert 0.005 <= best < 0.05
+    assert times == [Fraction(0.005)] * len(calls) and sum(times) >= 0.05
     # calls of MIN_TIMING_S / repeats or longer run exactly `repeats` times
     calls.clear()
-    [(best, out)] = cli._min_times([(evaluation, (0.03,))], repeats=2)
-    assert len(calls) == 2 and out == 2 and best >= 0.03
+    [(times, out)] = cli._call_times([(evaluation, (0.03,))], repeats=2)
+    assert len(calls) == 2 and out == 2 and times == [Fraction(0.03)] * 2
     # several calls take turns while each still needs samples; a call that
     # has met both conditions sits out, the others keep their own rule
     calls.clear()
-    (best_long, out_long), (best_short, out_short) = cli._min_times(
+    (times_long, out_long), (times_short, out_short) = cli._call_times(
         [(evaluation, (0.03,)), (evaluation, (0.005,))], repeats=2
     )
     assert calls[:4] == [0.03, 0.005, 0.03, 0.005]
     assert calls.count(0.03) == 2 and set(calls[4:]) == {0.005}
     assert calls.count(0.005) >= 10 and out_short == len(calls) and out_long == 3
-    assert best_long >= 0.03 and 0.005 <= best_short < 0.05
+    assert times_long == [Fraction(0.03)] * 2
+    assert times_short == [Fraction(0.005)] * calls.count(0.005)
+
+
+def test_treecode_bench_rows_report_call_counts_and_medians(monkeypatch):
+    # the minimum (and the ratios criterion 7 reads) stays the reported time;
+    # the call count and the median sit next to it
+    durations = [[4.0, 1.0, 2.0], [9.0, 1.5, 3.0, 2.0], [1.0, 6.0, 2.0], [8.0, 2.0, 3.0, 1.0, 1.5]]
+    monkeypatch.setattr(cli, "_call_times", lambda calls, repeats: [
+        (durations[i], fn(*args)) for i, (fn, args) in enumerate(calls)
+    ])
+    rows = treecode_bench([6, 8], theta=0.5, order=4, leaf_capacity=32, repeats=1, seed=1)
+    for i, row in enumerate(rows):
+        direct, tree = durations[2 * i], durations[2 * i + 1]
+        assert row["t_direct"] == min(direct) and row["t_treecode"] == min(tree)
+        assert row["calls_direct"] == len(direct) and row["calls_treecode"] == len(tree)
+        assert row["t_direct_median"] == float(np.median(direct))
+        assert row["t_treecode_median"] == float(np.median(tree))
+    assert rows[1]["ratio_treecode"] == rows[1]["t_treecode"] / rows[0]["t_treecode"]
 
 
 # File times come from the kernel's coarse clock, which may trail time.time()

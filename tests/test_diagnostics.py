@@ -1,5 +1,6 @@
 """Observables: moments, entropy, dissipation, blob, norms, order fitting."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -25,7 +26,8 @@ from landau_particles import (
     score_field,
 )
 from landau_particles.diagnostics import dissipation_from_velocities
-from landau_particles.particles import PAIR_TILE, velocity_field_direct
+from landau_particles.output import axis_slice_points
+from landau_particles.particles import PAIR_TILE, _flush, _gauss_factors, velocity_field_direct
 
 from helpers import naive_dissipation
 
@@ -233,6 +235,50 @@ def test_blob_matches_extended_precision_where_terms_underflow(dim):
     exact = np.sum(w * norm * np.exp(-r2 / (2.0 * np.longdouble(mol.eps))), axis=1)
     vals = blob_eval(ParticleEnsemble(v, w), mol, pts)
     assert np.allclose(vals, exact.astype(float), rtol=1e-14, atol=0.0)
+
+
+def _blob_per_point_factors(ens, mol, points):
+    """blob_eval with every point's axis factors built for that point: the
+    same blocks, products, flushes and matmul, without shared coordinates."""
+    v = ens.velocities
+    nw = mol.norm_const * ens.weights
+    block = max(1, 2**17 // ens.size)
+    out = np.empty(points.shape[0])
+    for lo in range(0, points.shape[0], block):
+        pts = points[lo : lo + block]
+        psi = _gauss_factors(pts[:, 0], v[:, 0], mol)
+        for s in range(1, ens.dim):
+            psi *= _gauss_factors(pts[:, s], v[:, s], mol)
+            _flush(psi)
+        out[lo : lo + block] = psi @ nw
+    return out
+
+
+@pytest.mark.parametrize("dim,n_particles", [(2, 3000), (3, 700)])
+def test_blob_eval_repeated_coordinates_bit_identical_to_per_point_factors(dim, n_particles):
+    # points over several blocks that repeat coordinates: axis slices, the grid
+    # centers, points drawn from a few values (with both signed zeros), and a
+    # narrow mollifier so that flushed factors and products occur
+    rng = np.random.default_rng(80 + dim)
+    grid = QuadratureGrid(dim=dim, half_width=3.0, cells_per_dim=11)
+    v = rng.normal(size=(n_particles, dim)) * 1.5
+    ens = ParticleEnsemble(v, rng.uniform(0.2, 1.0, size=n_particles) / n_particles)
+    values = np.array([-2.5, -0.0, 0.0, 0.7, 1.3])
+    point_sets = [axis_slice_points(grid, s) for s in range(dim)] + [
+        grid.centers, values[rng.integers(0, values.size, size=(300, dim))],
+        rng.normal(size=(40, dim)),
+    ]
+    for mol in (Mollifier(eps=0.3, dim=dim), Mollifier(eps=0.004, dim=dim)):
+        for pts in point_sets:
+            got = blob_eval(ens, mol, pts)
+            assert got.tobytes() == _blob_per_point_factors(ens, mol, pts).tobytes()
+    # a lone particle whose axis factors at these points are normal and their
+    # product subnormal: only the flush makes the values exact zeros
+    lone = ParticleEnsemble(np.zeros((1, dim)), np.ones(1))
+    pts = (1.7 if dim == 2 else 1.4) * np.array(list(itertools.product((-1.0, 1.0), repeat=dim)))
+    mol = Mollifier(eps=0.004, dim=dim)
+    assert np.all(blob_eval(lone, mol, pts) == 0.0)
+    assert np.all(_blob_per_point_factors(lone, mol, pts) == 0.0)
 
 
 def test_blob_on_grid_matches_pointwise_blob():

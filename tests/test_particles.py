@@ -1,9 +1,12 @@
 """Ensemble initialization, grid sums, score field, direct velocities."""
 
+import gc
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from landau_particles import (
     CollisionKernelSpec,
@@ -22,14 +25,20 @@ from landau_particles import (
     score_field,
     velocity_field_direct,
 )
+from landau_particles import particles
+from landau_particles.config import preset
 from landau_particles.particles import (
+    _NN_SAMPLES,
     _SCORE_FLUSH_EPS,
     PAIR_TILE,
     _axis_factors,
     _density_tiny,
     _derivative_factors,
+    _gauss_factors,
+    _recalled_density,
     mollified_grid_density,
 )
+from landau_particles.simulate import initial_density
 
 from helpers import naive_velocity_field
 
@@ -344,10 +353,15 @@ def test_grid_fields_bit_identical_to_separate_sums(dim, n_cells, n_particles):
     ens = _spread_ensemble(rng, dim, n_particles, grid)
     assert np.any(np.abs(ens.velocities) > grid.half_width)
     (dens, log_dens), scores = grid_fields(ens, grid, mol)
-    ref_dens, ref_log = mollified_grid_density(ens, grid, mol)
+    # the separate sums run in full on another ensemble object with the same
+    # particles: grid_fields' pair is recalled only for its own ensemble
+    same = ParticleEnsemble(ens.velocities, ens.weights)
+    assert _recalled_density(same, grid, mol) is None
+    ref_dens, ref_log = mollified_grid_density(same, grid, mol)
+    assert ref_dens is not dens and ref_log is not log_dens
     assert np.array_equal(dens, ref_dens)
     assert np.array_equal(log_dens, ref_log)
-    assert np.array_equal(scores, score_field(ens, grid, mol, ens.velocities))
+    assert np.array_equal(scores, score_field(same, grid, mol, same.velocities))
     (dens2, log_dens2), scores2 = grid_fields(ens, grid, mol)
     assert np.array_equal(dens2, dens)
     assert np.array_equal(log_dens2, log_dens)
@@ -372,6 +386,8 @@ def test_grid_sums_hold_no_whole_factor_matrix():
     mol = Mollifier(eps=0.64 * grid.spacing**1.98, dim=2)
     ens = init_from_density(maxwellian, grid)
     assert ens.size == grid.num_cells
+    # no grid_fields pair of this ensemble to recall: the sums run in full
+    assert _recalled_density(ens, grid, mol) is None
     factor_bytes = ens.size * grid.cells_per_dim * 8
     for call in (lambda: mollified_grid_density(ens, grid, mol),
                  lambda: score_field(ens, grid, mol, ens.velocities)):
@@ -382,6 +398,53 @@ def test_grid_sums_hold_no_whole_factor_matrix():
         finally:
             tracemalloc.stop()
         assert peak < factor_bytes
+
+
+def test_density_recalled_only_for_the_last_grid_fields_ensemble():
+    rng = np.random.default_rng(44)
+    grid = QuadratureGrid(dim=2, half_width=2.0, cells_per_dim=16)
+    mol = Mollifier(eps=0.64 * grid.spacing**1.98, dim=2)
+    ens = random_ensemble(rng, 300, 2)
+    pair, _ = grid_fields(ens, grid, mol)
+    # the same ensemble object with an equal grid and mollifier: the same arrays,
+    # read-only so no caller can change what a later call recalls
+    recalled = mollified_grid_density(ens, replace(grid), replace(mol))
+    assert recalled[0] is pair[0] and recalled[1] is pair[1]
+    assert grid_log_density(ens, grid, mol) is pair[1]
+    assert not pair[0].flags.writeable and not pair[1].flags.writeable
+    # another grid or mollifier, or another ensemble, sums again
+    for args in ((ens, QuadratureGrid(dim=2, half_width=2.0, cells_per_dim=17), mol),
+                 (ens, grid, Mollifier(eps=mol.eps * 1.5, dim=2)),
+                 (ens.with_velocities(ens.velocities), grid, mol)):
+        assert _recalled_density(*args) is None
+        fresh = mollified_grid_density(*args)
+        assert fresh[0] is not pair[0] and fresh[0].flags.writeable
+    # the next grid_fields replaces the pair; only one is held
+    other = random_ensemble(rng, 200, 2)
+    other_pair, _ = grid_fields(other, grid, mol)
+    assert _recalled_density(ens, grid, mol) is None
+    assert _recalled_density(other, grid, mol) is other_pair
+    # and the pair goes with its ensemble
+    del other, other_pair
+    gc.collect()
+    assert particles._last_density[3] is None
+
+
+def test_gauss_factors_refuse_a_strided_out():
+    # exponents below log(DBL_MIN) are set to -inf through a flat row view; a
+    # reshape of a strided out would copy, and subnormals would reach the sums
+    rng = np.random.default_rng(45)
+    grid = QuadratureGrid(dim=2, half_width=4.0, cells_per_dim=40)
+    mol = Mollifier(eps=0.64 * grid.spacing**1.98, dim=2)
+    pts = rng.uniform(-6.0, 6.0, size=(300, 2))
+    buf = np.zeros((2, 300, 40))
+    with pytest.raises(ValueError, match="C-contiguous"):
+        _gauss_factors(pts[100:200].T, grid.axis, mol, out=buf[:, 100:200])
+    assert np.all(buf == 0.0)
+    tiny = np.finfo(float).tiny
+    whole = _gauss_factors(pts.T, grid.axis, mol, out=buf)
+    assert whole is buf
+    assert np.any(whole == 0.0) and not np.any((whole > 0.0) & (whole < tiny))
 
 
 @pytest.mark.parametrize(
@@ -529,3 +592,81 @@ def test_min_pair_distance():
     assert min_pair_distance(rens) == pytest.approx(brute, rel=1e-14)
     with pytest.raises(ValueError):
         min_pair_distance(ParticleEnsemble(np.zeros((1, 2)), np.ones(1)))
+
+
+def _brute_min_pair_distance(v):
+    """sqrt of the smallest squared pair distance, the squares summed over the
+    axes in order, as a nearest-neighbour query sums them."""
+    best = np.inf
+    for lo in range(0, v.shape[0], 256):
+        rows = v[lo : lo + 256]
+        d2 = (rows[:, None, 0] - v[None, :, 0]) ** 2
+        for s in range(1, v.shape[1]):
+            d2 += (rows[:, None, s] - v[None, :, s]) ** 2
+        d2[np.arange(rows.shape[0]), lo + np.arange(rows.shape[0])] = np.inf
+        best = min(best, float(d2.min()))
+    return float(np.sqrt(best))
+
+
+def _preset_ensemble(name, cells_per_dim):
+    cfg = replace(preset(name), cells_per_dim=cells_per_dim).validate()
+    return init_from_density(initial_density(cfg), cfg.grid())
+
+
+def _min_pair_cases():
+    rng = np.random.default_rng(46)
+    cluster = rng.normal(size=(200, 3)) * 1e-6
+    zero_axis = rng.uniform(-1.0, 1.0, size=(500, 3))
+    zero_axis[:, 1] = 0.25
+    coincident = rng.normal(size=(300, 2))
+    coincident[[17, 230]] = coincident[99]
+    return {
+        # lattices: many pairs exactly one spacing apart, up to rounding
+        "bkw2d_n40": _preset_ensemble("bkw2d", 40).velocities,
+        "rosenbluth": _preset_ensemble("rosenbluth", 20).velocities,
+        "coincident": coincident,
+        "outlier_beside_cluster": np.vstack([cluster, [[50.0, -40.0, 30.0]]]),
+        "two_2d": np.array([[0.1, 0.2], [0.4, -0.3]]),
+        "two_3d": np.array([[0.1, 0.2, 0.3], [0.1, -0.3, 0.7]]),
+        "zero_extent_axis": zero_axis,
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_min_pair_cases()))
+def test_min_pair_distance_bitwise_brute_force(case):
+    v = _min_pair_cases()[case]
+    got = min_pair_distance(ParticleEnsemble(v, np.ones(v.shape[0])))
+    assert got == _brute_min_pair_distance(v)
+    # the unbounded nearest-neighbour queries give the same float
+    assert got == float(cKDTree(v).query(v, k=2)[0][:, 1].min())
+    if case == "coincident":
+        assert got == 0.0
+    if case.startswith(("bkw2d", "rosenbluth")):
+        spacing = 2.0 * preset(case.split("_")[0]).half_width / (40 if "n40" in case else 20)
+        assert got == pytest.approx(spacing, rel=1e-12)
+
+
+@pytest.mark.parametrize("sampled", [True, False], ids=["sampled", "unsampled"])
+def test_min_pair_distance_memory_is_linear_with_coincident_particles(sampled):
+    # 6400 particles, 1000 of them at one point: a list of the coincident pairs
+    # alone would take ~8 MB. Either a particle of the nearest-neighbour sample
+    # is among them, or none is and the bounded queries meet them. tracemalloc
+    # sees the arrays numpy allocates (the queries' (N, 2) results), not
+    # scipy's C++ buffers, which hold the tree.
+    n = 6400
+    grid = QuadratureGrid(dim=2, half_width=4.0, cells_per_dim=80)
+    v = grid.centers.copy()
+    stride = max(1, n // _NN_SAMPLES)
+    idx = np.arange(n)
+    pool = idx if sampled else idx[idx % stride != 0]
+    v[pool[:1000]] = v[4321]
+    assert (np.any(pool[:1000] % stride == 0)) == sampled
+    ens = ParticleEnsemble(v, np.ones(n))
+    tracemalloc.start()
+    try:
+        got = min_pair_distance(ens)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == 0.0
+    assert peak < 64 * n

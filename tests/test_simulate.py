@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from landau_particles import ParticleEnsemble
+from landau_particles import ParticleEnsemble, particles
 from landau_particles.config import preset
 from landau_particles.output import write_snapshot
 from landau_particles.simulate import (
@@ -185,6 +185,30 @@ def test_run_maxwellian_stays_near_equilibrium():
     rel0 = result.records[0].relative_entropy
     relT = result.records[-1].relative_entropy
     assert relT <= 2.0 * rel0
+
+
+def test_run_snapshots_reuse_the_step_density(tmp_path, monkeypatch):
+    # one density sum per step, in grid_fields: a snapshot's blob is the
+    # step's pair, and its file holds exactly that density
+    cfg = tiny_cfg(t_end=0.03, snapshot_stride=1)
+    grid, mol = cfg.grid(), cfg.mollifier()
+    sums, blobs = [], []
+    inner = particles._density
+
+    def counted(*args, **kwargs):
+        sums.append(args[0])
+        return inner(*args, **kwargs)
+
+    def on_snapshot(step, t, ens):
+        paths = write_snapshot(ens, grid, mol, t, tmp_path, tag=f"{step:06d}")
+        blob = np.loadtxt(paths[1], delimiter=",", skiprows=1)[:, -1]
+        assert np.array_equal(blob, particles._recalled_density(ens, grid, mol)[0])
+        blobs.append(step)
+
+    monkeypatch.setattr(particles, "_density", counted)
+    run(cfg, on_snapshot=on_snapshot)
+    assert blobs == list(range(cfg.n_steps + 1))
+    assert len(sums) == cfg.n_steps + 1
 
 
 def test_run_step_allocates_less_than_one_factor_matrix(tmp_path):
