@@ -13,11 +13,11 @@ builds the particles' (d, N, n) factors once per step, into a buffer the
 caller may pass (simulate.run passes one for the whole run), and shares them
 between the density and the score at the particles; every other grid sum
 builds its factors a few blocks of rows at a time, so beyond the factors the
-working set stays small and no whole factor matrix is held. grid_fields also
-remembers its density pair, read-only, for its ensemble object until the next
-call or until that ensemble is gone, and mollified_grid_density returns it for
-the same ensemble, grid and mollifier: a snapshot's blob is the step's
-density, not a second sum.
+working set stays small and no whole factor matrix is held. Density pairs
+are always returned read-only. grid_fields also remembers its pair for its
+ensemble object until the next call or until that ensemble is gone, and
+mollified_grid_density returns it for the same ensemble, grid and mollifier:
+a snapshot's blob is the step's density, not a second sum.
 
 Factors below the smallest normal double DBL_MIN are set to exact zeros. On
 x86, subnormal results go through microcode assists, which made exp and the
@@ -240,8 +240,8 @@ def _axis_factors(points, grid, mol, out=None):
     shape = (grid.dim, points.shape[0], grid.cells_per_dim)
     if out is None:
         out = np.empty(shape)
-    elif out.shape != shape or not out.flags.c_contiguous:
-        raise ValueError(f"factor buffer must be a C-contiguous array of shape {shape}")
+    elif out.shape != shape:
+        raise ValueError(f"factor buffer must have shape {shape}")
     return _gauss_factors(points.T, grid.axis, mol, out)
 
 
@@ -281,8 +281,8 @@ def _normal_operand(a):
 
 
 def _density(ens, grid, mol, factors=None):
-    """(density, log_density) at every cell, from the particles' axis factors
-    when given (see _factor_blocks)."""
+    """(density, log_density) at every cell, read-only, from the particles'
+    axis factors when given (see _factor_blocks)."""
     v, w = ens.velocities, ens.weights
     n, d = grid.cells_per_dim, grid.dim
     nw = mol.norm_const * w
@@ -315,6 +315,8 @@ def _density(ens, grid, mol, factors=None):
             for s in range(1, d):
                 expo += expos[s][rows[s]]
             log_dens[idx] = np.maximum(logsumexp(expo, axis=1), floor)
+    dens.setflags(write=False)
+    log_dens.setflags(write=False)
     return dens, log_dens
 
 
@@ -362,10 +364,8 @@ def _forget_density(ref):
 
 
 def _remember_density(ens, grid, mol, density_pair):
-    """Keep density_pair, made read-only, as the pair of (ens, grid, mol)."""
+    """Keep density_pair as the pair of (ens, grid, mol)."""
     global _last_density
-    for a in density_pair:
-        a.setflags(write=False)
     _last_density = (weakref.ref(ens, _forget_density), grid, mol, density_pair)
 
 
@@ -384,9 +384,9 @@ def mollified_grid_density(ens, grid, mol):
     the fast tensor-product sum where the density is above the flushing error
     cutoff (see the module docstring), by log-sum-exp over per-particle
     exponents where it is not, and is clamped below at log(min w) - 745 so it
-    is never -inf. If the last grid_fields call was on this ensemble object,
-    grid and mollifier, its pair is returned (read-only), bit-identical to the
-    sum.
+    is never -inf. Both arrays are read-only. If the last grid_fields call was
+    on this ensemble object, grid and mollifier, its pair is returned,
+    bit-identical to the sum.
     """
     recalled = _recalled_density(ens, grid, mol)
     return _density(ens, grid, mol) if recalled is None else recalled

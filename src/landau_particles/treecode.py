@@ -295,7 +295,7 @@ class KernelMatrixProvider:
     provider serves one traversal at a time.
     """
 
-    def __init__(self, spec, max_targets=0):
+    def __init__(self, spec):
         self.spec = spec
         self.pairs = component_pairs(spec.dim)
         self.n_outputs = len(self.pairs)
@@ -303,18 +303,14 @@ class KernelMatrixProvider:
         # tables kept here, so a traversal allocates them only when T grows.
         # Fresh multi-MB tables per cluster came as fresh pages from the OS
         # whenever the allocator's state let it return them (13-15k minor
-        # page faults per evaluation at N = 2608). Tables are sized for at
-        # least max_targets targets, so a traversal whose target counts stay
-        # within it allocates each table once; pages it never touches are
-        # never faulted in.
-        self.max_targets = max_targets
+        # page faults per evaluation at N = 2608).
         self._scratch = {}
 
     def _table(self, name, rows, cols):
         """A (rows, cols) scratch table, reused by later far_contribution calls."""
         buf = self._scratch.get(name)
         if buf is None or buf.size < rows * cols:
-            buf = self._scratch[name] = np.empty(rows * max(cols, self.max_targets))
+            buf = self._scratch[name] = np.empty(rows * cols)
         return buf[: rows * cols].reshape(rows, cols)
 
     def far_contribution(self, targets, center, node_moments, order):
@@ -609,7 +605,7 @@ def treecode_velocity_field(ens, scores, spec, params):
     charges[0] = ens.weights
     charges[1:] = (ens.weights[:, None] * f).T
     moments = compute_moments(tree, charges, params.order)
-    provider = KernelMatrixProvider(spec, max_targets=ens.size)
+    provider = KernelMatrixProvider(spec)
     comp = np.empty((dim, dim), dtype=int)
     for c, (r, s) in enumerate(component_pairs(dim)):
         comp[r, s] = comp[s, r] = c

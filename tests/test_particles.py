@@ -407,7 +407,8 @@ def test_density_recalled_only_for_the_last_grid_fields_ensemble():
     ens = random_ensemble(rng, 300, 2)
     pair, _ = grid_fields(ens, grid, mol)
     # the same ensemble object with an equal grid and mollifier: the same arrays,
-    # read-only so no caller can change what a later call recalls
+    # read-only (as every density pair is) so no caller can change what a later
+    # call recalls
     recalled = mollified_grid_density(ens, replace(grid), replace(mol))
     assert recalled[0] is pair[0] and recalled[1] is pair[1]
     assert grid_log_density(ens, grid, mol) is pair[1]
@@ -418,7 +419,8 @@ def test_density_recalled_only_for_the_last_grid_fields_ensemble():
                  (ens.with_velocities(ens.velocities), grid, mol)):
         assert _recalled_density(*args) is None
         fresh = mollified_grid_density(*args)
-        assert fresh[0] is not pair[0] and fresh[0].flags.writeable
+        assert fresh[0] is not pair[0]
+        assert not fresh[0].flags.writeable and not fresh[1].flags.writeable
     # the next grid_fields replaces the pair; only one is held
     other = random_ensemble(rng, 200, 2)
     other_pair, _ = grid_fields(other, grid, mol)

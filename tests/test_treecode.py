@@ -500,38 +500,6 @@ def test_treecode_velocity_matches_direct_other_gammas(dim, n, gamma):
     assert np.array_equal(treecode_velocity_field(ens, f, spec, params), tc)
 
 
-def test_treecode_velocity_sizes_far_field_tables_once(monkeypatch):
-    # the far field's scratch tables are allocated once per evaluation, for
-    # every target, and the field is bit-identical to one whose tables grow
-    # with the target counts of the traversal
-    rng = np.random.default_rng(31)
-    spec = CollisionKernelSpec(gamma=-3.0, prefactor=1 / (4 * np.pi), dim=3)
-    ens, f = _random_ensemble_with_scores(rng, 3000, 3)
-    params = TreecodeParams(theta=0.5, order=6, leaf_capacity=48)
-    allocated = []
-    inner = KernelMatrixProvider._table
-
-    def table(self, name, rows, cols):
-        held = self._scratch.get(name)
-        out = inner(self, name, rows, cols)
-        if self._scratch[name] is not held:
-            allocated.append((self.max_targets, name, cols))
-        return out
-
-    monkeypatch.setattr(KernelMatrixProvider, "_table", table)
-    tc = treecode_velocity_field(ens, f, spec, params)
-    assert sorted(name for _, name, _ in allocated) == ["basis", "sums"]
-    assert all(max_targets == ens.size for max_targets, _, _ in allocated)
-    # the same traversal with tables grown on demand
-    allocated.clear()
-    grown = KernelMatrixProvider(spec)
-    monkeypatch.setattr(
-        "landau_particles.treecode.KernelMatrixProvider", lambda spec, max_targets: grown
-    )
-    assert np.array_equal(treecode_velocity_field(ens, f, spec, params), tc)
-    assert len(allocated) > 2
-
-
 def test_treecode_velocity_momentum_bound():
     rng = np.random.default_rng(6)
     spec = CollisionKernelSpec(gamma=-3.0, prefactor=1 / (4 * np.pi), dim=3)
