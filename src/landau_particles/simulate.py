@@ -9,6 +9,7 @@ momentum and energy conservation.
 """
 
 import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,6 +218,20 @@ class RunResult:
     mollifier: object
 
 
+def _mapped_empty(shape):
+    """A float array of shape in an anonymous memory mapping of its own.
+
+    The mapping is returned to the system when the array is freed. A buffer of
+    several MB taken from the C heap instead raises glibc's mmap threshold
+    once freed, and later runs then take it from the heap, where the small
+    allocations a caller keeps between runs can split the gap it leaves: the
+    heap grew by ~5 MB at a run that differed from one process to the next.
+    """
+    count = math.prod(shape)
+    buf = mmap.mmap(-1, max(8 * count, 1))
+    return np.frombuffer(buf, dtype=np.float64, count=count).reshape(shape)
+
+
 def run(cfg, on_snapshot=None, progress=None):
     """Initialize, march to t_end, and collect one DiagnosticsRecord per step.
 
@@ -226,8 +241,8 @@ def run(cfg, on_snapshot=None, progress=None):
     step and, for snapshot_stride > 0, at every step that is a multiple of it
     (step 0 included). Reductions run in fixed index order, so reruns of one
     config are bit-identical. Every step's grid_fields writes the particles'
-    axis factors into one (d, N, n) buffer that run allocates after
-    initialization. on_snapshot gets the step's ensemble object, so a density
+    axis factors into one (d, N, n) buffer that run maps after initialization
+    (see _mapped_empty). on_snapshot gets the step's ensemble object, so a density
     it asks for (output.write_snapshot's blob) is the pair grid_fields built
     for it in that step, recalled and not summed again; other grid sums called
     from it build their own factors per block of rows.
@@ -238,7 +253,7 @@ def run(cfg, on_snapshot=None, progress=None):
     spec = cfg.kernel_spec()
     engine = make_engine(cfg)
     ens = init_from_density(initial_density(cfg), grid)
-    factors = np.empty((grid.dim, ens.size, grid.cells_per_dim))
+    factors = _mapped_empty((grid.dim, ens.size, grid.cells_per_dim))
     state = SimulationState(time=cfg.t_start, step=0, ensemble=ens)
     n_steps = cfg.n_steps
     records = []

@@ -1,13 +1,14 @@
 """Forward-Euler stepping, domain monitoring, and the run driver."""
 
 import math
+import mmap
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from landau_particles import ParticleEnsemble, particles
+from landau_particles import ParticleEnsemble, particles, simulate
 from landau_particles.config import preset
 from landau_particles.output import write_snapshot
 from landau_particles.simulate import (
@@ -15,6 +16,7 @@ from landau_particles.simulate import (
     SimulationConfig,
     SimulationState,
     _advance,
+    _mapped_empty,
     check_domain,
     euler_step,
     initial_density,
@@ -209,6 +211,36 @@ def test_run_snapshots_reuse_the_step_density(tmp_path, monkeypatch):
     run(cfg, on_snapshot=on_snapshot)
     assert blobs == list(range(cfg.n_steps + 1))
     assert len(sums) == cfg.n_steps + 1
+
+
+def test_mapped_empty_is_a_writable_c_array():
+    a = _mapped_empty((2, 5, 3))
+    assert a.shape == (2, 5, 3) and a.dtype == np.float64
+    assert a.flags.writeable and a.flags.c_contiguous
+    a[...] = 1.5
+    assert a.sum() == 45.0
+    assert _mapped_empty((2, 0, 3)).shape == (2, 0, 3)
+
+
+def test_run_maps_one_factor_buffer_for_all_steps(monkeypatch):
+    # the run's (d, N, n) buffer is a mapping of its own, handed back to the
+    # system with the run, never a block of the C heap
+    buffers = []
+    inner = simulate.grid_fields
+
+    def spy(ens, grid, mol, out=None):
+        buffers.append(out)
+        return inner(ens, grid, mol, out=out)
+
+    monkeypatch.setattr(simulate, "grid_fields", spy)
+    cfg = tiny_cfg(t_end=0.03)
+    run(cfg)
+    assert len(buffers) == cfg.n_steps + 1
+    assert all(b is buffers[0] for b in buffers)
+    base = buffers[0]
+    while isinstance(base, np.ndarray):
+        base = base.base
+    assert isinstance(base.obj, mmap.mmap)
 
 
 def test_run_step_allocates_less_than_one_factor_matrix(tmp_path):
