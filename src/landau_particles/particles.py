@@ -38,14 +38,18 @@ visits each unordered pair once, in PAIR_TILE-square tiles: per pair a few
 elementwise passes and one power, contracted by small matrix products (about
 20 ns per unordered pair on one core of a 2-vCPU Intel Xeon VM), with
 O(N + PAIR_TILE^2) memory; diagnostics.dissipation sums over the same tiles.
+
+min_pair_distance is exact in O(N) memory: the particles are hashed to a grid
+whose cells are as wide as a sampled nearest-neighbour distance, and the
+pairs of neighbouring cells are compared a chunk at a time. Like the
+log-sum-exp above (_logsumexp_rows), it needs nothing beyond numpy.
 """
 
+import itertools
 import weakref
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.special import logsumexp
 
 from .kernels import Z_FLOOR
 
@@ -78,9 +82,24 @@ _BLOCK = 2**15
 # 81 rows at n = 20, and building factors per block made the density ~8% slower.
 _FACTOR_SPAN = 2**13
 
-# Particles whose nearest-neighbour distances bound min_pair_distance's
-# search; on the benchmark ensembles 16 to 256 gave the same search time.
+# Evenly strided particles, of the ensemble and of each crowded cell, whose
+# nearest-neighbour distances bound min_pair_distance.
 _NN_SAMPLES = 32
+
+# Points a cell of min_pair_distance's grid may hold before the bound is
+# tightened from the cell's own points. Such a cell yields at least 32
+# samples, and any 5 points in a square or 9 in a cube hold a pair within
+# 0.87 of its side, so each tightening shrinks the cells by 13% or more.
+_CELL_CAP = 64
+
+# Point pairs min_pair_distance evaluates at once: each of its temporaries
+# takes 32 KB.
+_PAIR_CHUNK = 2**12
+
+# min_pair_distance's cells are this much wider than the bound, so a pair
+# within the bound is never more than one cell apart through the rounding of
+# the cell coordinates (at most 2^-22 of a cell, see _cell_keys).
+_GRID_SLACK = 1.0 + 2.0**-20
 
 # Side of the square tiles of the gamma != 0 pair sweep. One tile pair holds
 # 2d + 3 (PAIR_TILE, PAIR_TILE) float arrays, about 1.2 MB in 3D, which stays
@@ -314,10 +333,25 @@ def _density(ens, grid, mol, factors=None):
             expo = lognw + expos[0][rows[0]]
             for s in range(1, d):
                 expo += expos[s][rows[s]]
-            log_dens[idx] = np.maximum(logsumexp(expo, axis=1), floor)
+            log_dens[idx] = np.maximum(_logsumexp_rows(expo), floor)
     dens.setflags(write=False)
     log_dens.setflags(write=False)
     return dens, log_dens
+
+
+def _logsumexp_rows(a):
+    """log(sum(exp(a), axis=1)) of a 2-D array with a finite maximum in every
+    row, computed in a (which it overwrites) as scipy.special.logsumexp
+    computes it: the terms at each row's maximum are counted out of the sum
+    of the others' exp(a - max), which goes through log1p."""
+    a_max = a.max(axis=1, keepdims=True)
+    ties = a == a_max
+    m = ties.sum(axis=1, keepdims=True).astype(float)
+    a -= a_max
+    a[ties] = -np.inf
+    s = np.exp(a, out=a).sum(axis=1, keepdims=True)
+    s = np.where(s == 0.0, s, s / m)
+    return (np.log1p(s) + np.log(m) + a_max)[:, 0]
 
 
 def _derivative_factors(x, axis, g, mol):
@@ -552,23 +586,153 @@ def _velocity_field_maxwell(v, w, f, prefactor):
 def min_pair_distance(ens):
     """Minimum pairwise particle distance; monitors Coulomb near-singularity risk.
 
-    The minimum of every particle's nearest-neighbour distance (cKDTree
-    queries with k = 2), computed exactly as the unbounded queries compute it.
-    The queries are bounded by the smallest nearest-neighbour distance among
-    about _NN_SAMPLES evenly strided particles, which the minimum cannot
-    exceed, so a particle with no neighbour that close is dropped after a few
-    tree nodes; that halves the search. Memory is O(N) on every ensemble,
-    coincident particles included: no list of pairs is formed.
+    Exact: the square root of the smallest squared pair distance, the squares
+    summed over the axes in order (as nearest-neighbour queries sum them). The
+    nearest-neighbour distances of about _NN_SAMPLES evenly strided particles
+    bound it; the particles are then hashed to a grid whose cells are that
+    bound wide, so every closer pair shares a cell or lies in neighbouring
+    ones, and those pairs are compared a chunk at a time (see
+    _min_sq_distance). Memory is O(N) on every ensemble, coincident and
+    clustered particles included: no cell's pairs are listed at once.
     """
     if ens.size < 2:
         raise ValueError("min_pair_distance needs at least two particles")
-    v = ens.velocities
-    # a sliding-midpoint tree builds in about half the time of a median split
-    tree = cKDTree(v, balanced_tree=False)
-    stride = max(1, ens.size // _NN_SAMPLES)
-    bound = float(tree.query(v[::stride], k=2)[0][:, 1].min())
+    x = ens.velocities.T
+    return float(np.sqrt(_min_sq_distance(x, _sampled_sq_distance(x))))
+
+
+def _sq_distances(a, b):
+    """Squared distances between the points a and b, shape (d, ...) and
+    broadcast against each other, the squares summed over the axes in order."""
+    d2 = a[0] - b[0]
+    d2 *= d2
+    for s in range(1, a.shape[0]):
+        t = a[s] - b[s]
+        t *= t
+        d2 += t
+        del t
+    return d2
+
+
+def _sampled_sq_distance(x):
+    """Smallest squared distance from about _NN_SAMPLES evenly strided points
+    of x (d, n) to the other points, a chunk of pairs at a time."""
+    n = x.shape[1]
+    samples = np.arange(0, n, max(1, n // _NN_SAMPLES))
+    rows = max(1, _PAIR_CHUNK // n)
+    best = np.inf
+    for lo in range(0, samples.size, rows):
+        r = samples[lo : lo + rows]
+        d2 = _sq_distances(x[:, r, None], x[:, None, :])
+        d2[np.arange(r.size), r] = np.inf
+        best = min(best, float(d2.min()))
+    return best
+
+
+def _cell_keys(x, lo, side, base):
+    """The points x (d, n) and their cell keys, sorted by key.
+
+    A point's cell index along axis s is floor((x_s - lo_s) / side), in
+    [0, span / side]; the key is that index written as digit s of a number in
+    base, so the key of a cell's neighbour differs by a fixed offset. The
+    computed index is off by at most (span / side) 2^-52 <= 2^-22 of a cell for
+    span / side <= 2^30.
+    """
+    key = np.zeros(x.shape[1], dtype=np.int64)
+    for s in range(x.shape[0]):
+        u = x[s] - lo[s]
+        u /= side
+        np.floor(u, out=u)
+        key *= base
+        key += u.astype(np.int64)
+        del u
+    order = np.argsort(key)
+    key = key[order]
+    return np.take(x, order, axis=1), key
+
+
+def _row_offsets(d, base):
+    """Key offsets from a cell's row (its cells along the last axis) to the
+    rows at -1, 0 or +1 along every other axis. An offset is positive exactly
+    when the first nonzero step is +1."""
+    return [sum(k * base ** (d - 2 - s) for s, k in enumerate(step)) * base
+            for step in itertools.product((-1, 0, 1), repeat=d - 1)]
+
+
+def _ranges_sq_distance(xs, lo, hi):
+    """Smallest squared distance between each point xs[:, r] and the points
+    xs[:, lo[r]:hi[r]], about _PAIR_CHUNK pairs at a time."""
+    sizes = hi - lo
+    ends = np.cumsum(sizes)
+    best = np.inf
+    first = 0
+    while first < sizes.size:
+        done = ends[first] - sizes[first]
+        last = max(first + 1, int(np.searchsorted(ends, done + _PAIR_CHUNK, side="right")))
+        cnt = sizes[first:last]
+        i = np.repeat(np.arange(first, last), cnt)
+        if i.size:
+            j = np.repeat(lo[first:last] - (ends[first:last] - cnt - done), cnt)
+            j += np.arange(i.size)
+            d2 = _sq_distances(np.take(xs, i, axis=1), np.take(xs, j, axis=1))
+            best = min(best, float(d2.min()))
+        first = last
+    return best
+
+
+def _min_sq_distance(x, bound):
+    """Smallest squared distance between two of the points x (d, n), or bound
+    if that is smaller.
+
+    The points are hashed to cells a little wider than sqrt(bound), and a cell
+    that holds more than _CELL_CAP points tightens the bound from its own
+    sample, after which the points are hashed again. At most 2^(60 // d) cells
+    span each axis, which keeps the keys within int64 and the cell indices
+    exact to 2^-22; when that cap, not the bound, sets the cell side, each
+    crowded cell's block of 3^d cells is searched on its own finer grid, and
+    its points leave this one. Then every point is compared with the later
+    points of its cell and the next cell along the last axis, and with the
+    three cells along the last axis in each later row (_row_offsets): each
+    pair within the bound once.
+    """
+    d, n = x.shape
+    lo = x.min(axis=1)
+    cells = 2 ** (60 // d)
+    base = cells + 2  # digits up to cells, and cells + 1 never used: no offset wraps
+    cap = float((x.max(axis=1) - lo).max()) / cells
+    side = np.inf
+    while bound > 0.0:
+        finer = max(np.sqrt(bound) * _GRID_SLACK, cap)
+        if finer >= side:
+            break
+        side = finer
+        xs, keys = _cell_keys(x, lo, side, base)
+        starts = np.concatenate([[0], np.flatnonzero(keys[1:] != keys[:-1]) + 1, [n]])
+        crowded = np.flatnonzero(np.diff(starts) > _CELL_CAP)
+        if crowded.size == 0:
+            break
+        for c in crowded:
+            bound = min(bound, _sampled_sq_distance(xs[:, starts[c] : starts[c + 1]]))
     if bound == 0.0:
         return 0.0
-    # the slack keeps a pair at exactly the bound inside it
-    dists, _ = tree.query(v, k=2, distance_upper_bound=bound * (1.0 + 2.0**-20))
-    return float(dists[:, 1].min())
+    rows = _row_offsets(d, base)
+    if crowded.size:
+        for c in crowded:
+            k = keys[starts[c]]
+            firsts = np.searchsorted(keys, [k + off - 1 for off in rows])
+            stops = np.searchsorted(keys, [k + off + 1 for off in rows], side="right")
+            block = np.concatenate([xs[:, a:b] for a, b in zip(firsts, stops)], axis=1)
+            bound = _min_sq_distance(block, bound)
+            if bound == 0.0:
+                return 0.0
+        counts = np.diff(starts)
+        keep = np.repeat(counts <= _CELL_CAP, counts)
+        xs, keys = xs[:, keep], keys[keep]
+    stops = np.searchsorted(keys, keys + 1, side="right")
+    bound = min(bound, _ranges_sq_distance(xs, np.arange(1, keys.size + 1), stops))
+    for off in rows:
+        if off > 0:
+            firsts = np.searchsorted(keys, keys + off - 1)
+            stops = np.searchsorted(keys, keys + off + 1, side="right")
+            bound = min(bound, _ranges_sq_distance(xs, firsts, stops))
+    return bound

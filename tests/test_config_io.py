@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -314,3 +316,13 @@ def test_cli_rejects_bad_config(tmp_path):
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text("[simulation]\npreset = nope\n")
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_package_imports_without_scipy():
+    # cli imports every module of the package; SciPy is a test dependency only
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = ("import landau_particles.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout.strip() == "[]"

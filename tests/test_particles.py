@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
+from scipy.special import logsumexp
 
 from landau_particles import (
     CollisionKernelSpec,
@@ -35,6 +36,7 @@ from landau_particles.particles import (
     _density_tiny,
     _derivative_factors,
     _gauss_factors,
+    _logsumexp_rows,
     _recalled_density,
     mollified_grid_density,
 )
@@ -622,6 +624,8 @@ def _min_pair_cases():
     zero_axis[:, 1] = 0.25
     coincident = rng.normal(size=(300, 2))
     coincident[[17, 230]] = coincident[99]
+    t = np.arange(6400) / 6399.0
+    pair = np.array([[1e-19, 2e-19, 3e-19], [1.1e-19, 2e-19, 3e-19]])
     return {
         # lattices: many pairs exactly one spacing apart, up to rounding
         "bkw2d_n40": _preset_ensemble("bkw2d", 40).velocities,
@@ -631,30 +635,71 @@ def _min_pair_cases():
         "two_2d": np.array([[0.1, 0.2], [0.4, -0.3]]),
         "two_3d": np.array([[0.1, 0.2, 0.3], [0.1, -0.3, 0.7]]),
         "zero_extent_axis": zero_axis,
+        # clusters far finer than the spread, on cells far finer than a cluster
+        "cluster_beside_spread": np.vstack([rng.normal(size=(6000, 2)) * 1e-6,
+                                            rng.uniform(-4.0, 4.0, size=(400, 2))]),
+        "two_clusters_3d": np.vstack([rng.normal(size=(1300, 3)) * 1e-5,
+                                      rng.normal(size=(1300, 3)) * 1e-5 + 1.0]),
+        "segment_2d": np.column_stack([0.3 - 0.7 * t, -0.2 + 0.4 * t]),
+        # the sampled first point's pair: span / distance > 2^53, past any
+        # grid of cells as wide as the distance
+        "pair_1e-20_apart": np.vstack([pair, rng.uniform(-1.0, 1.0, size=(500, 3))]),
+        # summed in reverse axis order, the squares round to another distance
+        "axis_order_3d": np.array([[0.17968599759295922, 0.0559466514441207, 0.5434403893456035],
+                                   [-0.578917077366921, -0.7898477745197898, -0.8289705345562239]]),
     }
 
 
+# clusters, and the lattice with the most candidate pairs per point
+_MEMORY_CASES = ("cluster_beside_spread", "two_clusters_3d", "rosenbluth")
+
+
 @pytest.mark.parametrize("case", sorted(_min_pair_cases()))
-def test_min_pair_distance_bitwise_brute_force(case):
+def test_min_pair_distance_bitwise_brute_force(case, monkeypatch):
     v = _min_pair_cases()[case]
+    searches = []
+    inner = particles._min_sq_distance
+    monkeypatch.setattr(particles, "_min_sq_distance",
+                        lambda x, bound: searches.append(x.shape[1]) or inner(x, bound))
     got = min_pair_distance(ParticleEnsemble(v, np.ones(v.shape[0])))
     assert got == _brute_min_pair_distance(v)
     # the unbounded nearest-neighbour queries give the same float
     assert got == float(cKDTree(v).query(v, k=2)[0][:, 1].min())
+    # only the outlier's cluster fills a cell as wide as the cap on cells
+    # allows, so its block is searched again on a finer grid
+    assert (len(searches) > 1) == (case == "outlier_beside_cluster")
     if case == "coincident":
         assert got == 0.0
+    if case == "pair_1e-20_apart":
+        assert np.ptp(v, axis=0).max() / got > 2.0**53
+    if case == "axis_order_3d":
+        z = (v[0] - v[1]) ** 2
+        assert got != np.sqrt((z[2] + z[1]) + z[0])
     if case.startswith(("bkw2d", "rosenbluth")):
         spacing = 2.0 * preset(case.split("_")[0]).half_width / (40 if "n40" in case else 20)
         assert got == pytest.approx(spacing, rel=1e-12)
+
+
+@pytest.mark.parametrize("case", _MEMORY_CASES)
+def test_min_pair_distance_memory_is_linear(case):
+    v = _min_pair_cases()[case]
+    ens = ParticleEnsemble(v, np.ones(v.shape[0]))
+    tracemalloc.start()
+    try:
+        min_pair_distance(ens)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * ens.size
 
 
 @pytest.mark.parametrize("sampled", [True, False], ids=["sampled", "unsampled"])
 def test_min_pair_distance_memory_is_linear_with_coincident_particles(sampled):
     # 6400 particles, 1000 of them at one point: a list of the coincident pairs
     # alone would take ~8 MB. Either a particle of the nearest-neighbour sample
-    # is among them, or none is and the bounded queries meet them. tracemalloc
-    # sees the arrays numpy allocates (the queries' (N, 2) results), not
-    # scipy's C++ buffers, which hold the tree.
+    # is among them, or none is and the crowded cell they share tightens the
+    # bound from its own points. tracemalloc sees every allocation here: the
+    # search is numpy arrays only.
     n = 6400
     grid = QuadratureGrid(dim=2, half_width=4.0, cells_per_dim=80)
     v = grid.centers.copy()
@@ -672,3 +717,19 @@ def test_min_pair_distance_memory_is_linear_with_coincident_particles(sampled):
         tracemalloc.stop()
     assert got == 0.0
     assert peak < 64 * n
+
+
+def test_logsumexp_rows_matches_scipy():
+    rng = np.random.default_rng(47)
+    a = rng.uniform(-700.0, 700.0, size=(6, 300))
+    a[0, [3, 50, 299]] = 900.0  # ties at the maximum
+    a[1, 1::2] = -np.inf
+    a[2, :] = 12.5  # every term ties
+    a[3] = np.linspace(-1400.0, 0.0, 300)  # terms far below exp's range
+    a[4, 1:] = -np.inf  # one finite term
+    a[5] = rng.uniform(0.0, 1.0, size=300)
+    a[5, [7, 8]] = 1.0  # ties, and the other terms of the same order
+    for rows in (a, a[:, :1], np.ascontiguousarray(a[:, ::-1])):
+        want = logsumexp(rows, axis=1)
+        got = _logsumexp_rows(rows.copy())
+        assert np.array_equal(got, want)
