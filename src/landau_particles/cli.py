@@ -1,6 +1,7 @@
 """Command-line entry points: run, convergence, treecode-bench, validate."""
 
 import argparse
+import math
 import os
 import statistics
 import sys
@@ -28,7 +29,7 @@ from .kernels import (
     mollifier_eval,
     mollifier_grad,
 )
-from .output import RunManifest, write_diagnostics, write_snapshot
+from .output import RunManifest, write_csv, write_diagnostics, write_snapshot
 from .particles import ParticleEnsemble, QuadratureGrid, init_from_density, score_field, velocity_field_direct
 from .simulate import run
 from .treecode import (
@@ -160,6 +161,11 @@ def convergence_study(preset_name, n_list, engine=None, error_hook=None, progres
     return rows, slopes
 
 
+def _row_columns(rows, names):
+    """One column per name over the row dicts, nan where a row lacks it."""
+    return [np.array([r.get(name, math.nan) for r in rows]) for name in names]
+
+
 def cmd_convergence(args):
     n_list = [int(tok) for tok in args.n.split(",")]
     rows, slopes = convergence_study(args.preset, n_list, engine=args.engine, progress=True)
@@ -173,12 +179,10 @@ def cmd_convergence(args):
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, f"convergence_{args.preset}.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("n,h,rel_l1,rel_l2,rel_linf\n")
-            for r in rows:
-                fh.write(f"{r['n']},{r['h']!r},{r['rel_l1']!r},{r['rel_l2']!r},{r['rel_linf']!r}\n")
-            for norm, slope in slopes.items():
-                fh.write(f"# slope {norm} = {slope!r}\n")
+        write_csv(path, "n,h,rel_l1,rel_l2,rel_linf", _row_columns(
+            rows, ("n", "h", "rel_l1", "rel_l2", "rel_linf")))
+        with open(path, "a", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(f"# slope {norm} = {slope!r}\n" for norm, slope in slopes.items())
         print(f"wrote {path}")
     return 0
 
@@ -197,8 +201,8 @@ def bench_instance(n_side, seed, dim=3):
 MIN_TIMING_S = 2.0
 
 
-def treecode_bench(n_list, theta, order, leaf_capacity, repeats=2, seed=0, gamma=-3.0):
-    """Time the velocity-field evaluation per engine on synthetic instances.
+def treecode_bench(n_list, theta, order, leaf_capacity, repeats=2, seed=0):
+    """Time the 3D Coulomb velocity field per engine on synthetic instances.
 
     This is the engine-differing cost of one collision step (the pairwise
     kernel summation); each timing is the minimum over at least `repeats`
@@ -209,11 +213,7 @@ def treecode_bench(n_list, theta, order, leaf_capacity, repeats=2, seed=0, gamma
     Returns one row per resolution with times, the per-target sums' relative
     L2 deviation, and consecutive-size ratios of the minimum times.
     """
-    spec = CollisionKernelSpec(
-        gamma=gamma,
-        prefactor=1.0 / (4.0 * np.pi) if gamma == -3.0 else 1.0 / 16.0,
-        dim=3,
-    )
+    spec = CollisionKernelSpec(gamma=-3.0, prefactor=1.0 / (4.0 * np.pi), dim=3)
     params = TreecodeParams(theta=theta, order=order, leaf_capacity=leaf_capacity)
     instances = [bench_instance(n_side, seed) for n_side in n_list]
     calls = []
@@ -286,19 +286,10 @@ def cmd_treecode_bench(args):
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "treecode_bench.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(
-                "n_particles,t_direct,t_treecode,rel_l2,ratio_direct,ratio_treecode,"
-                "calls_direct,calls_treecode,t_direct_median,t_treecode_median\n"
-            )
-            for r in rows:
-                fh.write(
-                    f"{r['n_particles']},{r['t_direct']!r},{r['t_treecode']!r},"
-                    f"{r['rel_l2']!r},{r.get('ratio_direct', '')!r},"
-                    f"{r.get('ratio_treecode', '')!r},{r['calls_direct']},"
-                    f"{r['calls_treecode']},{r['t_direct_median']!r},"
-                    f"{r['t_treecode_median']!r}\n"
-                )
+        names = ("n_particles", "t_direct", "t_treecode", "rel_l2", "ratio_direct",
+                 "ratio_treecode", "calls_direct", "calls_treecode", "t_direct_median",
+                 "t_treecode_median")
+        write_csv(path, ",".join(names), _row_columns(rows, names))
         print(f"wrote {path}")
     return 0
 

@@ -7,8 +7,9 @@ nonnegative quadratic form pairing score differences through the collision
 matrix. Blob reconstruction convolves the particle measure with the mollifier
 for visualization and error norms. Both reuse the solver's kernels (the pair
 tiles and the per-axis Gaussian factors of particles), in bounded memory. The
-entropies and the blob on the grid take the step's density pair: passed in, or
-recalled by mollified_grid_density from the step's grid_fields.
+entropies and the blob on the grid read the density pair from
+mollified_grid_density, which recalls the step's grid_fields pair for the
+same ensemble object, so within simulate.run they sum nothing again.
 """
 
 import math
@@ -52,28 +53,23 @@ def conserved_maxwellian_params(ens):
     return mass, u, temperature
 
 
-def discrete_entropy(ens, grid, mol, density_pair=None):
+def discrete_entropy(ens, grid, mol):
     """Quadrature entropy sum_l h^d g_l log g_l of the mollified density.
 
     Cells whose density underflows contribute zero (the x log x -> 0 limit).
-    Pass density_pair = (density, log_density) to reuse the step's pair.
     """
-    if density_pair is None:
-        density_pair = mollified_grid_density(ens, grid, mol)
-    dens, log_dens = density_pair
+    dens, log_dens = mollified_grid_density(ens, grid, mol)
     return grid.cell_volume * float(np.sum(dens * log_dens))
 
 
-def relative_entropy(ens, grid, mol, reference="standard", density_pair=None):
+def relative_entropy(ens, grid, mol, reference="standard"):
     """Quadrature relative entropy of the mollified density against a Maxwellian.
 
     reference="standard" uses the unit Maxwellian (rho, u, T) = (1, 0, 1), so
     the integrand is g (log g + (d/2) log(2 pi) + |v|^2 / 2); "moments" uses
     the Maxwellian built from the ensemble's conserved moments.
     """
-    if density_pair is None:
-        density_pair = mollified_grid_density(ens, grid, mol)
-    dens, log_dens = density_pair
+    dens, log_dens = mollified_grid_density(ens, grid, mol)
     if reference == "standard":
         rho, u, temperature = 1.0, np.zeros(grid.dim), 1.0
     elif reference == "moments":

@@ -1,10 +1,11 @@
 """CSV emission for diagnostics and snapshots, plus the run manifest.
 
-All floats are written with shortest round-trip formatting (Python repr), so
-files parse back bit-exactly and deterministic reruns are byte-identical.
-repr is the floor of the cost: rows are formatted by one format string per
-block, and the blob file's grid coordinates, which are grid-axis values, are
-formatted once per axis value and joined per row.
+write_csv writes every table: diagnostics, particles, slices and the CLI's
+tables. Integers are written with %d and floats with shortest round-trip
+formatting (Python repr), so files parse back bit-exactly and deterministic
+reruns are byte-identical. repr is the floor of the cost: rows are formatted
+by one format string per block, and the blob file's grid coordinates, which
+are grid-axis values, are formatted once per axis value and joined per row.
 """
 
 import json
@@ -13,10 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diagnostics import DiagnosticsRecord, blob_eval, blob_on_grid
-
-
-def _fmt(x):
-    return repr(float(x))
 
 
 def write_diagnostics(records, path):
@@ -29,18 +26,17 @@ def write_diagnostics(records, path):
         f"step,time,mass,{mom_cols},energy,entropy,rel_entropy,"
         "dissipation,min_dist,escaped"
     )
-    lines = [header]
-    for rec in records:
-        parts = [str(rec.step), _fmt(rec.time), _fmt(rec.mass)]
-        parts += [_fmt(m) for m in rec.momentum]
-        parts += [
-            _fmt(rec.energy), _fmt(rec.entropy), _fmt(rec.relative_entropy),
-            _fmt(rec.dissipation), _fmt(rec.min_pair_distance), str(rec.escaped_count),
-        ]
-        lines.append(",".join(parts))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return path
+
+    def column(name, dtype=float):
+        return np.array([getattr(rec, name) for rec in records], dtype=dtype)
+
+    columns = [column("step", int)]
+    columns += [column(name) for name in (
+        "time", "mass", "momentum", "energy", "entropy", "relative_entropy",
+        "dissipation", "min_pair_distance",
+    )]
+    columns.append(column("escaped_count", int))
+    return write_csv(path, header, columns)
 
 
 def read_diagnostics(path):
@@ -81,14 +77,21 @@ def axis_slice_points(grid, axis):
 _CSV_ROWS = 1024
 
 
-def _write_csv(path, header, columns):
-    """Header plus one row per entry of the column-stacked float arrays.
+def write_csv(path, header, columns):
+    """Header plus one row per entry of the column-stacked (rows,) or (rows, k)
+    arrays: %d for integer columns (kept below 2^53, as they may be stacked
+    with floats), %r for the others.
 
     Rows are formatted _CSV_ROWS at a time by one format string, so no list
-    of every row's Python floats or text is held at once.
+    of every row's Python numbers or text is held at once.
     """
+    columns = [np.asarray(c) for c in columns]
+    fmts = []
+    for c in columns:
+        fmt = "%d" if np.issubdtype(c.dtype, np.integer) else "%r"
+        fmts += [fmt] * (c.shape[1] if c.ndim == 2 else 1)
     table = np.column_stack(columns)
-    line = ",".join(["%r"] * table.shape[1]) + "\n"
+    line = ",".join(fmts) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         for lo in range(0, table.shape[0], _CSV_ROWS):
@@ -127,7 +130,7 @@ def write_snapshot(ens, grid, mol, time, outdir, tag):
     dim = grid.dim
     vcols = ",".join(f"v_{s + 1}" for s in range(dim))
     paths = [
-        _write_csv(
+        write_csv(
             f"{outdir}/particles_{tag}.csv", f"w,{vcols}",
             [ens.weights, ens.velocities],
         ),
@@ -139,7 +142,7 @@ def write_snapshot(ens, grid, mol, time, outdir, tag):
     for axis in range(dim):
         vals = blob_eval(ens, mol, axis_slice_points(grid, axis))
         paths.append(
-            _write_csv(
+            write_csv(
                 f"{outdir}/slice_axis{axis + 1}_{tag}.csv", f"v_{axis + 1},blob",
                 [grid.axis, vals],
             )

@@ -75,18 +75,21 @@ class SimulationConfig:
     rosenbluth_sharpness: float = 10.0
 
     def validate(self):
-        if self.dim not in (2, 3):
-            raise ValueError(f"dim must be 2 or 3, got {self.dim}")
-        if not (self.half_width > 0):
-            raise ValueError("half_width must be positive")
+        """Self, or ValueError; each component the run builds checks itself here."""
+        self.grid()
         if self.cells_per_dim < 2:
             raise ValueError("cells_per_dim must be >= 2")
+        for name in ("dt", "t_start", "t_end"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not (self.dt > 0):
             raise ValueError("dt must be positive")
         if self.t_end < self.t_start:
             raise ValueError("t_end must not precede t_start")
-        if self.eps_coeff <= 0 or self.eps_power <= 0:
+        if not (self.eps_coeff > 0 and self.eps_power > 0):
             raise ValueError("mollifier rule coefficients must be positive")
+        self.mollifier()
+        self.kernel_spec()
         if self.initial_condition not in INITIAL_CONDITIONS:
             raise ValueError(
                 f"unknown initial_condition {self.initial_condition!r}; "
@@ -94,8 +97,10 @@ class SimulationConfig:
             )
         if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}")
-        if self.engine == "treecode" and not (0.0 < self.theta < 1.0):
-            raise ValueError("theta must lie in (0, 1) for the treecode engine")
+        if self.engine == "treecode":
+            if not (0.0 < self.theta < 1.0):
+                raise ValueError("theta must lie in (0, 1) for the treecode engine")
+            self.treecode_params()
         if self.initial_condition == "bimaxwellian" and self.dim != 2:
             raise ValueError("the bimaxwellian initial condition is two-dimensional")
         if self.initial_condition == "rosenbluth" and self.dim != 3:
@@ -242,10 +247,11 @@ def run(cfg, on_snapshot=None, progress=None):
     (step 0 included). Reductions run in fixed index order, so reruns of one
     config are bit-identical. Every step's grid_fields writes the particles'
     axis factors into one (d, N, n) buffer that run maps after initialization
-    (see _mapped_empty). on_snapshot gets the step's ensemble object, so a density
-    it asks for (output.write_snapshot's blob) is the pair grid_fields built
-    for it in that step, recalled and not summed again; other grid sums called
-    from it build their own factors per block of rows.
+    (see _mapped_empty). The entropies and on_snapshot get the step's ensemble
+    object, so a density they ask for (the entropies' pair,
+    output.write_snapshot's blob) is the pair grid_fields built for it in that
+    step, recalled and not summed again; other grid sums called from
+    on_snapshot build their own factors per block of rows.
     """
     cfg.validate()
     grid = cfg.grid()
@@ -259,7 +265,7 @@ def run(cfg, on_snapshot=None, progress=None):
     records = []
     for k in range(n_steps + 1):
         ens = state.ensemble
-        density_pair, scores = grid_fields(ens, grid, mol, out=factors)
+        _, scores = grid_fields(ens, grid, mol, out=factors)
         velocities = engine(ens, scores, spec)
         mass, momentum, energy = moments(ens)
         rec = DiagnosticsRecord(
@@ -268,11 +274,9 @@ def run(cfg, on_snapshot=None, progress=None):
             mass=mass,
             momentum=momentum,
             energy=energy,
-            entropy=discrete_entropy(ens, grid, mol, density_pair=density_pair),
+            entropy=discrete_entropy(ens, grid, mol),
             relative_entropy=relative_entropy(
-                ens, grid, mol,
-                reference=cfg.relative_entropy_reference,
-                density_pair=density_pair,
+                ens, grid, mol, reference=cfg.relative_entropy_reference
             ),
             dissipation=dissipation_from_velocities(ens, scores, velocities),
             min_pair_distance=min_pair_distance(ens) if ens.size > 1 else math.inf,

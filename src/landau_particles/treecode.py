@@ -30,6 +30,7 @@ which returns the coefficients themselves.
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -70,48 +71,37 @@ class TreecodeParams:
 # multi-index bookkeeping
 
 def multi_indices(order, dim):
-    """All multi-indices with |k| <= order in graded lexicographic order."""
-    out = []
-    for total in range(order + 1):
-        grade = []
-
-        def rec(prefix, remaining, slots):
-            if slots == 1:
-                grade.append(prefix + (remaining,))
-                return
-            for first in range(remaining, -1, -1):
-                rec(prefix + (first,), remaining - first, slots - 1)
-
-        rec((), total, dim)
-        out.extend(sorted(grade, reverse=True))
-    return out
+    """All multi-indices with |k| <= order, by grade |k|, each grade in
+    reverse lexicographic order."""
+    return sorted(
+        (k for k in itertools.product(range(order + 1), repeat=dim) if sum(k) <= order),
+        key=lambda k: (sum(k), [-c for c in k]),
+    )
 
 
 @functools.cache
 def _index_tables(order, dim):
-    """Lookup tables for the recurrences; cached per (order, dim).
+    """Lookup tables for the recurrences and the moment shifts; cached per
+    (order, dim).
 
-    Returns (indices, pivot, im1, im2) where im1[i, s] / im2[i, s] are the
-    positions of k - e_s / k - 2 e_s (-1 if out of range).
+    Returns (indices, pivot, im1, im2, ip1) where im1[i, s] / im2[i, s] are
+    the positions of k - e_s / k - 2 e_s (-1 if out of range), and ip1[i, s]
+    is the position of k + e_s, or P when |k| = order. ip1 has a pad row P
+    that maps to P on every axis, so shifts by several e_s compose through it.
     """
     idx = multi_indices(order, dim)
     pos = {k: i for i, k in enumerate(idx)}
     p_count = len(idx)
-    pivot = np.zeros(p_count, dtype=int)
-    im1 = np.full((p_count, dim), -1, dtype=int)
-    im2 = np.full((p_count, dim), -1, dtype=int)
-
-    def shifted(k, s, amount):
-        if k[s] < amount:
-            return -1
-        return pos[k[:s] + (k[s] - amount,) + k[s + 1 :]]
-
+    ip1 = np.full((p_count + 1, dim), p_count)
     for i, k in enumerate(idx):
-        pivot[i] = int(np.argmax(k))
         for s in range(dim):
-            im1[i, s] = shifted(k, s, 1)
-            im2[i, s] = shifted(k, s, 2)
-    return idx, pivot, im1, im2
+            ip1[i, s] = pos.get(k[:s] + (k[s] + 1,) + k[s + 1 :], p_count)
+    im1 = np.full((p_count, dim), -1)
+    rows, axes = np.nonzero(ip1[:p_count] < p_count)
+    im1[ip1[rows, axes], axes] = rows
+    im2 = np.where(im1 >= 0, im1[im1, np.arange(dim)], -1)
+    pivot = np.argmax(np.array(idx), axis=1)
+    return idx, pivot, im1, im2, ip1
 
 
 def _gaussian_coeff_table(u, mol, order):
@@ -121,7 +111,7 @@ def _gaussian_coeff_table(u, mol, order):
     """
     t_count, dim = u.shape
     eps = mol.eps
-    idx, pivot, im1, im2 = _index_tables(order, dim)
+    idx, pivot, im1, im2, _ = _index_tables(order, dim)
     b = np.empty((len(idx), t_count))
     r2 = np.einsum("td,td->t", u, u)
     b[0] = mol.norm_const * np.exp(-r2 / (2.0 * eps))
@@ -187,12 +177,12 @@ def _radial_coeff_matrix(beta, order, dim):
     r^(-|k|) P_k(u~) = P_k(q). Rows are accumulated in long double and
     returned read-only in float64, shape (P, P), nonzero only where |j| = |k|.
     """
-    idx, pivot, im1, im2 = _index_tables(order, dim)
+    idx, pivot, im1, im2, ip1 = _index_tables(order, dim)
     p_count = len(idx)
     # up[t][i] / up2[t][i]: position of k_i + e_t / k_i + 2 e_t, or the pad
     # column p_count, which only ever receives zeros
-    shift = _shift_tables(order, dim)
-    up, up2 = shift[1 : 1 + dim], shift[1 + dim : 1 + 2 * dim]
+    up = ip1[:p_count].T
+    up2 = ip1[up, np.arange(dim)[:, None]]
     beta = np.longdouble(beta)
     coeff = np.zeros((p_count, p_count + 1), dtype=np.longdouble)
     coeff[0, 0] = 1.0
@@ -227,17 +217,14 @@ def _shift_tables(order, dim):
     shifted index exceeds the order). Shifting the moments this way turns
     sum_p a^(p - sigma) m^p into a plain contraction against the coefficients.
     """
-    idx = multi_indices(order, dim)
-    pos = {k: i for i, k in enumerate(idx)}
-    axes = [()] + [(r,) for r in range(dim)] + component_pairs(dim)
-    table = np.full((len(axes), len(idx)), len(idx), dtype=int)
-    for n, sh in enumerate(axes):
-        for i, k in enumerate(idx):
-            shifted = list(k)
-            for t in sh:
-                shifted[t] += 1
-            if sum(shifted) <= order:
-                table[n, i] = pos[tuple(shifted)]
+    ip1 = _index_tables(order, dim)[4]
+    shifts = [()] + [(r,) for r in range(dim)] + component_pairs(dim)
+    table = np.empty((len(shifts), ip1.shape[0] - 1), dtype=int)
+    for n, axes in enumerate(shifts):
+        dest = np.arange(table.shape[1])
+        for t in axes:
+            dest = ip1[dest, t]
+        table[n] = dest
     table.setflags(write=False)
     return table
 

@@ -22,7 +22,7 @@ from landau_particles.config import (
     parse_config,
     preset,
 )
-from landau_particles.diagnostics import blob_on_grid
+from landau_particles.diagnostics import DiagnosticsRecord, blob_on_grid
 from landau_particles.output import (
     RunManifest,
     axis_slice_points,
@@ -100,6 +100,30 @@ def test_parse_preset_with_overrides():
     assert cfg.gamma == 0.0  # inherited
 
 
+@pytest.mark.parametrize("extra", [
+    "\n[kernel]\nprefactor = -1\n",
+    "\n[kernel]\ngamma = nan\n",
+    "\n[engine]\nengine = treecode\norder = -2\n",
+    "\n[engine]\nengine = treecode\nleaf_capacity = 0\n",
+    "half_width = inf\n",
+    "eps_coeff = nan\n",
+    "eps_power = nan\n",
+    "t_end = inf\n",
+    "dt = inf\n",
+], ids=["prefactor", "gamma", "order", "leaf_capacity", "half_width", "eps_coeff",
+        "eps_power", "t_end", "dt"])
+def test_parse_rejects_what_the_run_cannot_use(tmp_path, capsys, extra):
+    # every component the run builds checks its values when the config is
+    # parsed, so `run` stops with exit code 2 before it starts
+    text = "[simulation]\npreset = bkw2d\n" + extra
+    with pytest.raises(ValueError):
+        parse_config(text)
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(text)
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert "running" not in capsys.readouterr().out
+
+
 def test_emit_parse_round_trip_all_presets():
     for name in PRESETS:
         cfg = preset(name)
@@ -134,6 +158,53 @@ def test_diagnostics_single_record_two_lines(tmp_path):
     lines = path.read_text().strip().split("\n")
     assert len(lines) == 2
     assert lines[0].startswith("step,time,mass,mom_1,mom_2,energy")
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_diagnostics_bytes_are_one_repr_per_value(tmp_path, dim):
+    # integers stay integers and inf stays inf: each field is repr of the
+    # record's int or float
+    rng = np.random.default_rng(dim)
+    records = [
+        DiagnosticsRecord(
+            step=k, time=0.01 * k, mass=1.0 + 1e-16 * k, momentum=rng.normal(size=dim) * 1e-17,
+            energy=float(dim), entropy=-rng.uniform(), relative_entropy=rng.uniform() * 1e-3,
+            dissipation=rng.uniform(), min_pair_distance=math.inf if k < 2 else 0.5 ** k,
+            escaped_count=3 * k,
+        )
+        for k in range(4)
+    ]
+    path = write_diagnostics(records, tmp_path / "diag.csv")
+    mom_cols = ",".join(f"mom_{s + 1}" for s in range(dim))
+    lines = [f"step,time,mass,{mom_cols},energy,entropy,rel_entropy,dissipation,min_dist,escaped"]
+    for rec in records:
+        values = [rec.time, rec.mass, *rec.momentum, rec.energy, rec.entropy,
+                  rec.relative_entropy, rec.dissipation, rec.min_pair_distance]
+        fields = [repr(rec.step)] + [repr(float(x)) for x in values] + [repr(rec.escaped_count)]
+        lines.append(",".join(fields))
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+    assert path.read_text().splitlines()[1].endswith(",inf,0")
+
+
+def test_cli_csv_fields_parse_as_floats(tmp_path, monkeypatch):
+    # a missing ratio is written as nan, as in the printed table
+    monkeypatch.setattr(cli, "MIN_TIMING_S", 0.0)
+    assert main(["treecode-bench", "--n-list", "4,5", "--repeats", "1",
+                 "--out", str(tmp_path)]) == 0
+    real_study = cli.convergence_study
+    monkeypatch.setattr(cli, "convergence_study", lambda name, n_list, **kw: real_study(
+        name, n_list, error_hook=lambda n: (8.0 / n) ** 2))
+    assert main(["convergence", "--preset", "bkw2d", "--n", "40,60,80",
+                 "--out", str(tmp_path)]) == 0
+    tables = {}
+    for name in ("treecode_bench.csv", "convergence_bkw2d.csv"):
+        lines = (tmp_path / name).read_text().splitlines()
+        tables[name] = [ln.split(",") for ln in lines[1:] if not ln.startswith("#")]
+        assert [[float(x) for x in row] for row in tables[name]]
+    first = dict(zip("n_particles,t_direct,t_treecode,rel_l2,ratio_direct".split(","),
+                     tables["treecode_bench.csv"][0]))
+    assert first["n_particles"] == "64" and first["ratio_direct"] == "nan"
+    assert [row[0] for row in tables["convergence_bkw2d.csv"]] == ["40", "60", "80"]
 
 
 def test_deterministic_reruns_byte_identical(tmp_path):
