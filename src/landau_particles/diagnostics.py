@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .particles import _flush, _gauss_factors, _pair_tiles, mollified_grid_density
+from .particles import _centered, _flush, _gauss_factors, _pair_tiles, mollified_grid_density
 
 
 @dataclass
@@ -97,11 +97,10 @@ def dissipation(ens, scores, spec):
     """
     v, w = ens.velocities, ens.weights
     f = np.asarray(scores, dtype=float)
-    d = ens.dim
+    vc, fc = _centered(v, w, f)
     total = 0.0
-    for rows_i, rows_j, diffs, pair, k0 in _pair_tiles(v, f, spec.gamma):
-        r2, zdf = pair
-        df2 = np.einsum("sij,sij->ij", diffs[d:], diffs[d:])
+    for rows_i, rows_j, pair, k0, _ in _pair_tiles(v, f, vc, fc, spec.gamma, with_df2=True):
+        r2, zdf, df2 = pair
         quad = k0 * (r2 * df2 - zdf * zdf)
         tile = float(w[rows_i] @ quad @ w[rows_j])
         total += tile if rows_i == rows_j else 2.0 * tile

@@ -56,7 +56,7 @@ def _pq(params, t):
     # positivity window of the quadratic factor; equality is admitted (the
     # d=2 solution starts exactly at K = 1/2)
     lo = d / (d + 2.0)
-    if k < lo - 1e-14 or k > 1.0 + 1e-14:
+    if not (lo - 1e-14 <= k <= 1.0 + 1e-14):
         raise ValueError(
             f"K(t)={k:.6g} outside the positivity range [{lo:.6g}, 1] at t={t}"
         )

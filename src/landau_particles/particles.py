@@ -34,10 +34,14 @@ of the cutoff. The score's derivative factors are flushed only where they can
 be subnormal, for eps < 1 / (2 |log DBL_MIN|) (see _SCORE_FLUSH_EPS).
 
 The direct velocity sum is O(N) for gamma = 0 (global moments). Otherwise it
-visits each unordered pair once, in PAIR_TILE-square tiles: per pair a few
-elementwise passes and one power, contracted by small matrix products (about
-20 ns per unordered pair on one core of a 2-vCPU Intel Xeon VM), with
-O(N + PAIR_TILE^2) memory; diagnostics.dissipation sums over the same tiles.
+visits each unordered pair once, in PAIR_TILE-square tiles. One small matmul
+per tile pair reads |v_i - v_j|^2 and (v_i - v_j) . (F_i - F_j) in Gram form
+from v and F centered at their weighted means; the few close pairs where that
+form cancels are recomputed from exact differences (the closest also add their
+terms from them), and one power and two small matrix products finish the
+tile. That is 9-11 ns per unordered pair on one core of a 2-vCPU Intel Xeon
+VM (13-15 ns with exact differences for every pair), with O(N + PAIR_TILE^2)
+memory; diagnostics.dissipation sums over the same tiles.
 
 min_pair_distance is exact in O(N) memory: the particles are hashed to a grid
 whose cells are as wide as a sampled nearest-neighbour distance, and the
@@ -102,9 +106,14 @@ _PAIR_CHUNK = 2**12
 _GRID_SLACK = 1.0 + 2.0**-20
 
 # Side of the square tiles of the gamma != 0 pair sweep. One tile pair holds
-# 2d + 3 (PAIR_TILE, PAIR_TILE) float arrays, about 1.2 MB in 3D, which stays
-# within a core's L2 cache; 128 ran about 9% faster than 192 or 96.
+# 3 (PAIR_TILE, PAIR_TILE) float arrays, 0.4 MB (4 arrays, 0.5 MB, for the
+# dissipation), which stays within a core's L2 cache; 96 ran about 10% slower.
 PAIR_TILE = 128
+
+# A Gram-form |z|^2 at or below this share of max_I |v|^2 + max_J |v|^2 is
+# recomputed from exact differences (see _pair_tiles); elsewhere its relative
+# error stays below about 16 ulp / _GRAM_CUTOFF = 4e-12.
+_GRAM_CUTOFF = 2.0**-10
 
 
 class EmptyEnsembleError(ValueError):
@@ -482,46 +491,86 @@ def velocity_field_direct(ens, scores, spec):
     return _velocity_field_pairs(v, w, f, spec.gamma, spec.prefactor)
 
 
-def _pair_tiles(v, f, gamma):
+def _centered(v, w, f):
+    """v and F less their weighted means: the pair sums read only differences."""
+    total = w.sum()
+    return v - (w @ v) / total, f - (w @ f) / total
+
+
+def _pair_tiles(v, f, vc, fc, gamma, with_df2=False):
     """Sweep every unordered pair once, in PAIR_TILE-square tiles I <= J.
 
-    Yields (rows_i, rows_j, diffs, pair, k0): the exact z = v_i - v_j then
-    dF = F_i - F_j per component (2d, ti, tj), |z|^2 and z . dF (2, ti, tj),
+    Yields (rows_i, rows_j, pair, k0, near): |z|^2 and z . dF, then |dF|^2 if
+    with_df2, as pair (2 or 3, ti, tj), with z = v_i - v_j and dF = F_i - F_j,
     and k0 = |z|^gamma, 0 for |z| <= Z_FLOOR; buffers reused by the next tile.
+    near is None, or (ii, jj, z, dF), by their indices within the tile, for
+    the pairs beyond Z_FLOOR with |z|^2 at most _GRAM_CUTOFF^2 times
+    max_I |v|^2 + max_J |v|^2, from exact differences.
+
+    One matmul per tile pair reads pair in Gram form from the centered vc and
+    fc: (x_i - x_j) . (y_i - y_j) = x_i . y_i + x_j . y_j - x_i . y_j - x_j . y_i
+    for (x, y) = (v, v), (v, F) and (F, F). Its absolute error is a few ulp of
+    |v_i|^2 + |v_j|^2, so a pair whose |z|^2 is at most _GRAM_CUTOFF times
+    max_I |v|^2 + max_J |v|^2, or at most 2 Z_FLOOR^2, is recomputed from
+    exact differences of v and F, and the Z_FLOOR skip is decided on that
+    exact |z|^2. Diagonal tiles are symmetrized exactly, so pair and k0 are
+    symmetric per unordered pair.
     """
     n, d = v.shape
-    # Over a tile, the pairwise differences a_i - b_j of each component of v
-    # (s < d) and F (s >= d) are the rank-2 products [a_i, 1] . [1, -b_j] of
-    # left and right. Both products are exact, so BLAS returns the correctly
-    # rounded difference, several times faster than np.subtract.outer.
-    comp = np.concatenate([v.T, f.T])  # (2d, N)
-    left = np.stack([comp, np.ones_like(comp)], axis=-1)  # (2d, N, 2)
-    right = np.stack([np.ones_like(comp), -comp], axis=1)  # (2d, 2, N)
+    blocks = [(0, 0), (0, 1), (1, 1)][: 3 if with_df2 else 2]  # v or F by index
+    # right[b] has rows 1, x . y, -y, -x for (x, y) = blocks[b]; a tile row's
+    # left operand, columns x . y, 1, x, y, is read from it (perm and sign)
+    right = np.empty((len(blocks), 2 * d + 2, n))
+    for b, (p, q) in enumerate(blocks):
+        x, y = (vc, fc)[p], (vc, fc)[q]
+        right[b, 0] = 1.0
+        np.einsum("id,id->i", x, y, out=right[b, 1])
+        np.negative(y.T, out=right[b, 2 : d + 2])
+        np.negative(x.T, out=right[b, d + 2 :])
+    perm = [1, 0, *range(d + 2, 2 * d + 2), *range(2, d + 2)]
+    sign = np.array([1.0, 1.0] + [-1.0] * (2 * d))
+    starts = range(0, n, PAIR_TILE)
+    tile_max = np.maximum.reduceat(right[0, 1], starts)  # of |v|^2
     half_gamma = 0.5 * gamma
     floor2 = Z_FLOOR * Z_FLOOR
-    diff_buf = np.empty((2 * d, PAIR_TILE, PAIR_TILE))
-    pair_buf = np.empty((2, PAIR_TILE, PAIR_TILE))
+    pair_buf = np.empty((len(blocks), PAIR_TILE, PAIR_TILE))
     k0_buf = np.empty((PAIR_TILE, PAIR_TILE))
-    for lo_i in range(0, n, PAIR_TILE):
+    for t_i, lo_i in enumerate(starts):
         rows_i = slice(lo_i, lo_i + PAIR_TILE)
-        for lo_j in range(lo_i, n, PAIR_TILE):
+        left = np.ascontiguousarray(right[:, perm, rows_i].transpose(0, 2, 1))
+        left *= sign
+        for t_j in range(t_i, len(starts)):
+            lo_j = starts[t_j]
             rows_j = slice(lo_j, lo_j + PAIR_TILE)
             ti, tj = min(n - lo_i, PAIR_TILE), min(n - lo_j, PAIR_TILE)
-            diffs = diff_buf[:, :ti, :tj]
             pair = pair_buf[:, :ti, :tj]
             k0 = k0_buf[:ti, :tj]
-            np.matmul(left[:, rows_i], right[:, :, rows_j], out=diffs)
-            z = diffs[:d]
-            np.einsum("sij,sij->ij", z, z, out=pair[0])
-            np.einsum("sij,sij->ij", z, diffs[d:], out=pair[1])
+            np.matmul(left, right[:, :, rows_j], out=pair)
+            if t_j == t_i:
+                for block in pair:  # through k0, which the power overwrites
+                    np.add(block, block.T, out=k0)
+                    np.multiply(k0, 0.5, out=block)
             r2 = pair[0]
-            near = r2 <= floor2
-            if near.any():  # diagonal tiles, coincident particles
-                np.power(r2, half_gamma, out=k0, where=~near)
-                k0[near] = 0.0
-            else:
+            cutoff = max(_GRAM_CUTOFF * (tile_max[t_i] + tile_max[t_j]), 2.0 * floor2)
+            near = None
+            if r2.min() <= cutoff:
+                # flatnonzero: a 2D nonzero took 40 us per tile
+                ii, jj = np.divmod(np.flatnonzero(r2 <= cutoff), tj)
+                diffs = v[lo_i + ii] - v[lo_j + jj], f[lo_i + ii] - f[lo_j + jj]
+                pair[:, ii, jj] = [
+                    np.einsum("ks,ks->k", diffs[p], diffs[q]) for p, q in blocks
+                ]
+                near = ii, jj, *diffs
+            with np.errstate(divide="ignore"):  # coincident pairs, zeroed below
                 np.power(r2, half_gamma, out=k0)
-            yield rows_i, rows_j, diffs, pair, k0
+            if near is not None:
+                r2_near = pair[0, ii, jj]
+                skip = r2_near <= floor2
+                k0[ii[skip], jj[skip]] = 0.0
+                # pairs whose |v_i - mean| / |z| may exceed 1 / _GRAM_CUTOFF
+                close = ~skip & (r2_near <= _GRAM_CUTOFF * cutoff)
+                near = tuple(a[close] for a in near) if close.any() else None
+            yield rows_i, rows_j, pair, k0, near
 
 
 def _velocity_field_pairs(v, w, f, gamma, prefactor):
@@ -534,21 +583,38 @@ def _velocity_field_pairs(v, w, f, gamma, prefactor):
     k1 and g are symmetric in (i, j), so each tile pair I <= J of _pair_tiles
     is evaluated once: rows I contract the (I, J) tiles against B w_J [1, F_J]
     and B w_J [1, v_J], rows J contract their transposes against the I rows.
+    U reads only differences of v and of F, so v and F enter it centered at
+    their weighted means: v_i sum_j g w_j - sum_j g w_j v_j then does not
+    cancel for an ensemble far from the origin. It still loses about
+    |v_i - mean| / |z| ulp of a pair's term, so the pairs _pair_tiles yields
+    as near, where that ratio may exceed 1 / _GRAM_CUTOFF = 1024, add
+    B w_j (k1 dF - g z) from their exact differences instead.
     """
     n, d = v.shape
+    vc, fc = _centered(v, w, f)
     bw = prefactor * w
-    weights = np.stack([  # (2, N, d+1): B w [1, F] and B w [1, v]
-        np.column_stack([bw, bw[:, None] * f]),
-        np.column_stack([bw, bw[:, None] * v]),
+    weights = np.stack([  # (2, N, d+1): B w [1, F] and B w [1, v], centered
+        np.column_stack([bw, bw[:, None] * fc]),
+        np.column_stack([bw, bw[:, None] * vc]),
     ])
     acc = np.zeros((2, n, d + 1))  # sum_j k1 B w_j [1, F_j], sum_j g B w_j [1, v_j]
-    for rows_i, rows_j, _, pair, k0 in _pair_tiles(v, f, gamma):
+    close = np.zeros((n, d))  # sum_j B w_j (k1 dF - g z) over the close pairs
+    for rows_i, rows_j, pair, k0, near in _pair_tiles(v, f, vc, fc, gamma):
         np.multiply(pair, k0, out=pair)  # k1 and g
+        if near is not None:
+            ii, jj, z, df = near
+            k1, g = pair[:, ii, jj]
+            pair[:, ii, jj] = 0.0
+            term = k1[:, None] * df - g[:, None] * z
+            i, j = rows_i.start + ii, rows_j.start + jj
+            np.add.at(close, i, bw[j, None] * term)
+            if rows_j != rows_i:  # a diagonal tile holds both (i, j) and (j, i)
+                np.subtract.at(close, j, bw[i, None] * term)
         acc[:, rows_i] += np.matmul(pair, weights[:, rows_j])
         if rows_j != rows_i:
             acc[:, rows_j] += np.matmul(pair.transpose(0, 2, 1), weights[:, rows_i])
     acc_f, acc_v = acc
-    return -((f * acc_f[:, :1] - acc_f[:, 1:]) - (v * acc_v[:, :1] - acc_v[:, 1:]))
+    return -(close + (fc * acc_f[:, :1] - acc_f[:, 1:]) - (vc * acc_v[:, :1] - acc_v[:, 1:]))
 
 
 def _velocity_field_maxwell(v, w, f, prefactor):

@@ -103,8 +103,16 @@ class SimulationConfig:
             self.treecode_params()
         if self.initial_condition == "bimaxwellian" and self.dim != 2:
             raise ValueError("the bimaxwellian initial condition is two-dimensional")
-        if self.initial_condition == "rosenbluth" and self.dim != 3:
-            raise ValueError("the rosenbluth initial condition is three-dimensional")
+        if self.initial_condition == "rosenbluth":
+            if self.dim != 3:
+                raise ValueError("the rosenbluth initial condition is three-dimensional")
+            for name in ("rosenbluth_sigma", "rosenbluth_sharpness"):
+                value = getattr(self, name)
+                if not (math.isfinite(value) and value > 0):
+                    raise ValueError(f"{name} must be positive and finite")
+        if self.initial_condition == "bkw":
+            # bkw_eval checks that K(t_start) lies in [d/(d+2), 1]
+            initial_density(self)(np.zeros(self.dim))
         if self.snapshot_stride < 0:
             raise ValueError("snapshot_stride must be >= 0 (0 writes only the final step)")
         if self.relative_entropy_reference not in ("standard", "moments"):

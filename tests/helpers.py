@@ -171,3 +171,33 @@ def naive_dissipation(v, w, f, gamma, prefactor, z_floor=1e-12):
             df = f[i] - f[j]
             total += w[i] * w[j] * float(df @ a @ df)
     return 0.5 * total
+
+
+def cancellation_ensemble(case, n, dim, tile, seed, z_floor=1e-12):
+    """(v, w, f) on which a pair sum that expands |v_i - v_j|^2 or reassociates
+    its differences loses digits.
+
+    "drift": velocities N(0, I) shifted by 1e3 on every axis. "flat_scores":
+    scores 3 + 1e-6 N(0, 1). "floor_pair": two pairs 0.9 z_floor apart, one
+    near (5, ..., 5) in rows tile - 1 and tile, one near (5, ..., 5, -5) in
+    the last two rows; there |v|^2 is 75 in 3D, so |v_i|^2 + |v_j|^2 -
+    2 v_i . v_j carries an error of ~1e-14, far above z_floor^2.
+    """
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=(n, dim))
+    w = rng.uniform(0.2, 1.0, size=n) / n
+    f = rng.normal(size=(n, dim))
+    if case == "drift":
+        v += 1e3
+    elif case == "flat_scores":
+        f = 3.0 + 1e-6 * rng.normal(size=(n, dim))
+    elif case == "floor_pair":
+        centers = np.full((2, dim), 5.0)
+        centers[1, -1] = -5.0
+        for (i, j), center, axis in zip([(tile - 1, tile), (n - 2, n - 1)], centers, [0, 1]):
+            v[i] = center
+            v[j] = center
+            v[j, axis] += 0.9 * z_floor
+    else:
+        raise ValueError(case)
+    return v, w, f

@@ -100,22 +100,31 @@ def test_parse_preset_with_overrides():
     assert cfg.gamma == 0.0  # inherited
 
 
-@pytest.mark.parametrize("extra", [
-    "\n[kernel]\nprefactor = -1\n",
-    "\n[kernel]\ngamma = nan\n",
-    "\n[engine]\nengine = treecode\norder = -2\n",
-    "\n[engine]\nengine = treecode\nleaf_capacity = 0\n",
-    "half_width = inf\n",
-    "eps_coeff = nan\n",
-    "eps_power = nan\n",
-    "t_end = inf\n",
-    "dt = inf\n",
+@pytest.mark.parametrize("name,extra", [
+    ("bkw2d", "\n[kernel]\nprefactor = -1\n"),
+    ("bkw2d", "\n[kernel]\ngamma = nan\n"),
+    ("bkw2d", "\n[engine]\nengine = treecode\norder = -2\n"),
+    ("bkw2d", "\n[engine]\nengine = treecode\nleaf_capacity = 0\n"),
+    ("bkw2d", "half_width = inf\n"),
+    ("bkw2d", "eps_coeff = nan\n"),
+    ("bkw2d", "eps_power = nan\n"),
+    ("bkw2d", "t_end = inf\n"),
+    ("bkw2d", "dt = inf\n"),
+    ("rosenbluth", "\n[initial]\nrosenbluth_sigma = nan\n"),
+    ("rosenbluth", "\n[initial]\nrosenbluth_sigma = -0.3\n"),
+    ("rosenbluth", "\n[initial]\nrosenbluth_sharpness = -5\n"),
+    ("bkw2d", "\n[initial]\nbkw_integration_const = nan\n"),
+    ("bkw2d", "\n[initial]\nbkw_integration_const = 0.9\n"),
+    ("bkw2d", "\n[initial]\nbkw_integration_const = -1\n"),
 ], ids=["prefactor", "gamma", "order", "leaf_capacity", "half_width", "eps_coeff",
-        "eps_power", "t_end", "dt"])
-def test_parse_rejects_what_the_run_cannot_use(tmp_path, capsys, extra):
+        "eps_power", "t_end", "dt", "rosenbluth_sigma_nan", "rosenbluth_sigma_negative",
+        "rosenbluth_sharpness_negative", "bkw_integration_const_nan", "bkw_k_below_range",
+        "bkw_k_above_range"])
+def test_parse_rejects_what_the_run_cannot_use(tmp_path, capsys, name, extra):
     # every component the run builds checks its values when the config is
-    # parsed, so `run` stops with exit code 2 before it starts
-    text = "[simulation]\npreset = bkw2d\n" + extra
+    # parsed, so `run` stops with exit code 2 before it starts; the BKW
+    # density is nonnegative only for K(t_start) in [d/(d+2), 1]
+    text = f"[simulation]\npreset = {name}\n" + extra
     with pytest.raises(ValueError):
         parse_config(text)
     cfg_path = tmp_path / "bad.cfg"

@@ -29,7 +29,7 @@ from landau_particles.diagnostics import dissipation_from_velocities
 from landau_particles.output import axis_slice_points
 from landau_particles.particles import PAIR_TILE, _flush, _gauss_factors, velocity_field_direct
 
-from helpers import naive_dissipation
+from helpers import cancellation_ensemble, naive_dissipation
 
 
 def test_moments_single_particle():
@@ -164,6 +164,17 @@ def test_dissipation_nonnegative_and_matches_naive(dim, gamma, n):
     assert val >= -1e-12 * max(abs(val), 1.0)
     oracle = naive_dissipation(v, w, f, gamma, spec.prefactor)
     assert val == pytest.approx(oracle, rel=1e-12)
+
+
+@pytest.mark.parametrize("case", ["drift", "flat_scores", "floor_pair"])
+def test_dissipation_matches_naive_under_cancellation(case):
+    # the pair tiles read |z|^2, z . dF and |dF|^2 in Gram form from centered
+    # v and F; pairs where that form cancels are recomputed from differences
+    n = 2 * PAIR_TILE + 37
+    v, w, f = cancellation_ensemble(case, n, 3, PAIR_TILE, seed=7)
+    spec = CollisionKernelSpec(gamma=-3.0, prefactor=0.21, dim=3)
+    val = dissipation(ParticleEnsemble(v, w), f, spec)
+    assert val == pytest.approx(naive_dissipation(v, w, f, spec.gamma, spec.prefactor), rel=1e-12)
 
 
 def test_dissipation_memory_bounded():

@@ -28,6 +28,7 @@ from landau_particles import (
 )
 from landau_particles import particles
 from landau_particles.config import preset
+from landau_particles.kernels import Z_FLOOR
 from landau_particles.particles import (
     _NN_SAMPLES,
     _SCORE_FLUSH_EPS,
@@ -42,7 +43,7 @@ from landau_particles.particles import (
 )
 from landau_particles.simulate import initial_density
 
-from helpers import naive_velocity_field
+from helpers import cancellation_ensemble, naive_velocity_field
 
 
 def random_ensemble(rng, n, dim, spread=1.0):
@@ -525,6 +526,49 @@ def test_velocity_field_tiled_matches_naive(dim, gamma):
     fast = velocity_field_direct(ParticleEnsemble(v, w), f, spec)
     naive = naive_velocity_field(v, w, f, gamma, spec.prefactor)
     assert np.allclose(fast, naive, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("case", ["drift", "flat_scores", "floor_pair"])
+def test_velocity_field_tiled_matches_naive_under_cancellation(case, dim):
+    # "drift": v_i sum_j g w_j - sum_j g w_j v_j cancels unless v is centered
+    # (uncentered, this missed the tolerance by 7-13x); "flat_scores": the
+    # Gram form of z . dF needs F centered too (U is ~1e-6 there, so
+    # test_dissipation_matches_naive_under_cancellation is the sharper check);
+    # "floor_pair": pairs 0.9 Z_FLOOR apart where the Gram form
+    # |v_i|^2 + |v_j|^2 - 2 v_i . v_j is off by ~1e-14, so they are skipped
+    # only if the skip is decided on the exact |z|^2
+    n = 2 * PAIR_TILE + 37
+    v, w, f = cancellation_ensemble(case, n, dim, PAIR_TILE, seed=7)
+    if case == "floor_pair":
+        z = v[PAIR_TILE - 1] - v[PAIR_TILE]
+        assert 0.0 < z @ z <= Z_FLOOR**2
+    spec = CollisionKernelSpec(gamma=-3.0, prefactor=0.21, dim=dim)
+    fast = velocity_field_direct(ParticleEnsemble(v, w), f, spec)
+    naive = naive_velocity_field(v, w, f, spec.gamma, spec.prefactor)
+    assert np.allclose(fast, naive, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("center", [0.0, 5.0])
+@pytest.mark.parametrize("sep", [1e-6, 1e-9])
+def test_velocity_field_close_pair_matches_naive(sep, center):
+    # a pair sep apart dominates its rows; contracted in the reassociated form
+    # v_i sum_j g w_j - sum_j g w_j v_j its term lost |v_i - c| / sep ulp
+    # (c the origin uncentered, the weighted mean centered: up to 1e-7 of the
+    # row). Along z its term k1 dF - g z is 0 but each part is ~|U_i|, so the
+    # rows are compared, each to its own size.
+    rng = np.random.default_rng(7)
+    n = 2 * PAIR_TILE + 37
+    v = rng.normal(size=(n, 3))
+    w = rng.uniform(0.2, 1.0, size=n) / n
+    f = rng.normal(size=(n, 3))
+    v[100] = v[101] = center
+    v[101, 0] += sep
+    spec = CollisionKernelSpec(gamma=-3.0, prefactor=0.21, dim=3)
+    fast = velocity_field_direct(ParticleEnsemble(v, w), f, spec)
+    naive = naive_velocity_field(v, w, f, spec.gamma, spec.prefactor)
+    err = np.linalg.norm(fast - naive, axis=1)
+    assert np.all(err <= 1e-12 * np.linalg.norm(naive, axis=1) + 1e-14)
 
 
 @pytest.mark.parametrize("dim,gamma", [(2, 0.0), (2, -3.0), (3, 0.0), (3, -3.0)])
