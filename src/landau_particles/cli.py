@@ -187,13 +187,13 @@ def cmd_convergence(args):
     return 0
 
 
-def bench_instance(n_side, seed, dim=3):
-    """Synthetic random ensemble with scores, N = n_side^dim sources in [-1,1]^d."""
+def bench_instance(n_side, seed):
+    """Synthetic random 3D ensemble with scores, N = n_side^3 sources in [-1,1]^3."""
     rng = np.random.default_rng(seed)
-    n = n_side**dim
-    v = rng.uniform(-1.0, 1.0, size=(n, dim))
+    n = n_side**3
+    v = rng.uniform(-1.0, 1.0, size=(n, 3))
     w = rng.uniform(0.2, 1.0, size=n) / n
-    f = rng.normal(size=(n, dim))
+    f = rng.normal(size=(n, 3))
     return ParticleEnsemble(v, w), f
 
 

@@ -12,7 +12,7 @@ reassociated. Both sums run over blocks of rows (_factor_blocks). grid_fields
 builds the particles' (d, N, n) factors once per step, into a buffer the
 caller may pass (simulate.run passes one for the whole run), and shares them
 between the density and the score at the particles; every other grid sum
-builds its factors a few blocks of rows at a time, so beyond the factors the
+builds its factors one block of rows at a time, so beyond the factors the
 working set stays small and no whole factor matrix is held. Density pairs
 are always returned read-only. grid_fields also remembers its pair for its
 ensemble object until the next call or until that ensemble is gone, and
@@ -81,11 +81,6 @@ _SCORE_FLUSH_EPS = 1.01 / (2.0 * abs(_LOG_TINY))
 # (rows, n^(d-1)) arrays take 256 KB each; 2^14 to 2^16 ran fastest.
 _BLOCK = 2**15
 
-# Rows times n of the axis factors a grid sum builds at once when it is not
-# given them, rounded down to whole blocks (at least one). A 3D block is only
-# 81 rows at n = 20, and building factors per block made the density ~8% slower.
-_FACTOR_SPAN = 2**13
-
 # Evenly strided particles, of the ensemble and of each crowded cell, whose
 # nearest-neighbour distances bound min_pair_distance.
 _NN_SAMPLES = 32
@@ -114,6 +109,9 @@ PAIR_TILE = 128
 # recomputed from exact differences (see _pair_tiles); elsewhere its relative
 # error stays below about 16 ulp / _GRAM_CUTOFF = 4e-12.
 _GRAM_CUTOFF = 2.0**-10
+
+# init_from_density drops cells at or below this share of the largest weight.
+_WEIGHT_FLOOR = 1e-15
 
 
 class EmptyEnsembleError(ValueError):
@@ -209,11 +207,11 @@ class QuadratureGrid:
         return self.cells_per_dim**self.dim
 
 
-def init_from_density(density, grid, w_floor_rel=1e-15):
+def init_from_density(density, grid):
     """Project a density onto one particle per grid cell, w_i = f(v_i^c) h^d.
 
-    Cells whose weight is at or below w_floor_rel times the maximal cell weight
-    are dropped; they cost O(N) forever while contributing below rounding.
+    Cells at or below _WEIGHT_FLOOR times the maximal cell weight are dropped;
+    they cost O(N) forever while contributing below rounding.
     """
     centers = grid.centers
     vals = np.asarray(density(centers), dtype=float)
@@ -224,7 +222,7 @@ def init_from_density(density, grid, w_floor_rel=1e-15):
     if np.any(vals < 0):
         raise ValueError("density must be nonnegative on the grid centers")
     w = vals * grid.cell_volume
-    keep = w > w_floor_rel * w.max() if w.max() > 0 else np.zeros(w.shape, bool)
+    keep = w > _WEIGHT_FLOOR * w.max() if w.max() > 0 else np.zeros(w.shape, bool)
     if not np.any(keep):
         raise EmptyEnsembleError("all cell weights fall below the weight floor")
     return ParticleEnsemble(centers[keep], w[keep])
@@ -278,19 +276,17 @@ def _factor_blocks(points, grid, mol, factors=None):
     the block's axis factors, shape (d, rows, n).
 
     g is sliced from factors, the (d, P, n) output of _axis_factors, when it
-    is given; otherwise it is built for a span of blocks at a time (see
-    _FACTOR_SPAN), so no (P, n) matrix is held.
+    is given; otherwise it is built for one block of rows at a time, so no
+    (P, n) matrix is held.
     """
     n, d = grid.cells_per_dim, grid.dim
     block = max(1, _BLOCK // n ** (d - 1))
-    span = block * max(1, _FACTOR_SPAN // (block * n))
-    for lo in range(0, points.shape[0], span):
+    for lo in range(0, points.shape[0], block):
+        rows = slice(lo, lo + block)
         if factors is None:
-            g = _axis_factors(points[lo : lo + span], grid, mol)
+            yield rows, _axis_factors(points[rows], grid, mol)
         else:
-            g = factors[:, lo : lo + span]
-        for b in range(0, g.shape[1], block):
-            yield slice(lo + b, lo + b + block), g[:, b : b + block]
+            yield rows, factors[:, rows]
 
 
 def _density_tiny(w, mol):

@@ -213,12 +213,10 @@ def _advance(state, velocities, dt, t_next):
     )
 
 
-def euler_step(state, cfg, engine=None):
+def euler_step(state, cfg):
     """One forward-Euler step; weights unchanged, new state returned."""
-    if engine is None:
-        engine = make_engine(cfg)
     _, scores = grid_fields(state.ensemble, cfg.grid(), cfg.mollifier())
-    velocities = engine(state.ensemble, scores, cfg.kernel_spec())
+    velocities = make_engine(cfg)(state.ensemble, scores, cfg.kernel_spec())
     return _advance(state, velocities, cfg.dt, cfg.t_start + (state.step + 1) * cfg.dt)
 
 

@@ -208,40 +208,26 @@ def _radial_coeff_matrix(beta, order, dim):
 
 
 @functools.cache
-def _shift_tables(order, dim):
-    """Moment reindexing maps for the contracted far-field path, shape (n_sh, P).
-
-    The shifts sigma are 0, then e_r for each axis r, then e_r + e_s for each
-    (r, s) of component_pairs(dim). Row n of the table maps position i to
-    the position of k_i + sigma_n (or P, pointing at a zero pad row, when the
-    shifted index exceeds the order). Shifting the moments this way turns
-    sum_p a^(p - sigma) m^p into a plain contraction against the coefficients.
-    """
-    ip1 = _index_tables(order, dim)[4]
-    shifts = [()] + [(r,) for r in range(dim)] + component_pairs(dim)
-    table = np.empty((len(shifts), ip1.shape[0] - 1), dtype=int)
-    for n, axes in enumerate(shifts):
-        dest = np.arange(table.shape[1])
-        for t in axes:
-            dest = ip1[dest, t]
-        table[n] = dest
-    table.setflags(write=False)
-    return table
-
-
-@functools.cache
 def _shifted_coeff_stack(beta, order, dim):
     """The rows of _radial_coeff_matrix moved by each shift, shape (n_sh, P, P).
 
-    Slice n has row H[i] at the position of k_i + sigma_n (rows whose shifted
-    index exceeds the order are dropped), so node_moments @ slice n equals
-    m^(k + sigma_n) @ H. Read-only.
+    The shifts sigma are 0, then e_r for each axis r, then e_r + e_s for each
+    (r, s) of component_pairs(dim). Slice n has row H[i] at the position of
+    k_i + sigma_n (rows whose shifted index exceeds the order are dropped), so
+    node_moments @ slice n equals m^(k + sigma_n) @ H. This turns
+    sum_p a^(p - sigma) m^p into a plain contraction against the
+    coefficients. Read-only.
     """
     coeff = _radial_coeff_matrix(beta, order, dim)
-    table = _shift_tables(order, dim)
+    ip1 = _index_tables(order, dim)[4]
     p_count = coeff.shape[0]
-    stack = np.zeros((table.shape[0], p_count + 1, p_count))
-    for n, dest in enumerate(table):
+    shifts = [()] + [(r,) for r in range(dim)] + component_pairs(dim)
+    # row p_count is a pad that takes the rows shifted past the order
+    stack = np.zeros((len(shifts), p_count + 1, p_count))
+    for n, axes in enumerate(shifts):
+        dest = np.arange(p_count)
+        for t in axes:
+            dest = ip1[dest, t]
         stack[n, dest] = coeff
     out = stack[:, :p_count]
     out.setflags(write=False)

@@ -398,6 +398,11 @@ def test_cli_rejects_bad_config(tmp_path):
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_cli_validate_passes_every_check(capsys):
+    assert main(["validate"]) == 0
+    assert "12/12 checks passed" in capsys.readouterr().out
+
+
 def test_package_imports_without_scipy():
     # cli imports every module of the package; SciPy is a test dependency only
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
