@@ -11,9 +11,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, emit_config, load_config, preset, PRESETS
+from .config import emit_config, load_config, preset, PRESETS
 from .diagnostics import (
-    blob_eval,
     blob_on_grid,
     dissipation,
     dissipation_from_velocities,
@@ -107,12 +106,16 @@ def convergence_study(preset_name, n_list, engine=None, error_hook=None, progres
     Presets with a closed-form solution are compared against it on each run's
     own grid; other presets use the finest run as reference, with every blob
     reconstructed on the common coarsest grid. Returns (rows, slopes): one row
-    per resolution with relative L1/L2/Linf errors, and the least-squares
-    log-log slope per norm (requires >= 3 error rows).
+    of relative L1/L2/Linf errors per resolution (but the reference), and the
+    least-squares log-log slope per norm. A slope needs three rows, so a
+    closed-form preset needs three distinct resolutions and any other preset
+    four; ValueError says so before any run.
     """
-    if len(n_list) < 3 and error_hook is None:
-        raise ValueError("need at least three resolutions")
     base = preset(preset_name)
+    need = 3 if base.initial_condition == "bkw" else 4
+    if error_hook is None and len(set(n_list)) < need:
+        raise ValueError(f"preset {preset_name} needs at least {need} distinct resolutions "
+                         f"for a convergence slope, got {sorted(set(n_list))}")
     if engine:
         base = replace(base, engine=engine)
     rows = []
@@ -143,11 +146,9 @@ def convergence_study(preset_name, n_list, engine=None, error_hook=None, progres
             cfg = replace(base, cells_per_dim=n).validate()
             results[n] = run(cfg, progress=_progress_printer(100) if progress else None)
         finest = n_sorted[-1]
-        ref = blob_eval(results[finest].ensemble, results[finest].mollifier,
-                        coarse_grid.centers)
+        ref = blob_on_grid(results[finest].ensemble, coarse_grid, results[finest].mollifier)
         for n in n_sorted[:-1]:
-            blob = blob_eval(results[n].ensemble, results[n].mollifier,
-                             coarse_grid.centers)
+            blob = blob_on_grid(results[n].ensemble, coarse_grid, results[n].mollifier)
             errs = error_norms(blob, ref, coarse_grid)
             rows.append({
                 "n": n, "h": 2.0 * base.half_width / n,
@@ -475,7 +476,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -33,7 +33,8 @@ stay finite; their density values keep the fast-path sum, off by at most 1e-16
 of the cutoff. The score's derivative factors are flushed only where they can
 be subnormal, for eps < 1 / (2 |log DBL_MIN|) (see _SCORE_FLUSH_EPS).
 
-The direct velocity sum is O(N) for gamma = 0 (global moments). Otherwise it
+The direct velocity sum is O(N) for gamma = 0 (global moments about the
+weighted means of v and F, see _velocity_field_maxwell). Otherwise it
 visits each unordered pair once, in PAIR_TILE-square tiles. One small matmul
 per tile pair reads |v_i - v_j|^2 and (v_i - v_j) . (F_i - F_j) in Gram form
 from v and F centered at their weighted means; the few close pairs where that
@@ -469,11 +470,11 @@ def velocity_field_direct(ens, scores, spec):
 
     Pairs with |v_i - v_j| <= Z_FLOOR are skipped. For gamma = 0 the collision
     matrix is a quadratic polynomial in the velocities, so the double sum
-    factors exactly through a handful of global weighted moments and is
-    evaluated in O(N) (the same sum, reassociated; sub-floor pairs contribute
-    an exact zero bracket there). Otherwise the pairs are swept once per
-    unordered pair of PAIR_TILE-square tiles (see _velocity_field_pairs), in
-    fixed tile order.
+    factors exactly through a handful of global weighted moments, taken about
+    the weighted means of v and F, and is evaluated in O(N) (the same sum,
+    reassociated; sub-floor pairs contribute an exact zero bracket there).
+    Otherwise the pairs are swept once per unordered pair of PAIR_TILE-square
+    tiles (see _velocity_field_pairs), in fixed tile order.
     """
     v, w = ens.velocities, ens.weights
     f = np.asarray(scores, dtype=float)
@@ -617,32 +618,26 @@ def _velocity_field_maxwell(v, w, f, prefactor):
     """O(N) moment form of the pair sum for the polynomial gamma = 0 kernel.
 
     With z = v_i - v_j and dF = F_i - F_j,
-      U_i = -B sum_j w_j [ |z|^2 dF - (z . dF) z ],
-    and every |z|^2 / z x z factor expands into source moments
-    sum_j w_j {1, v_j, |v_j|^2, v_j v_j^T, F_j, v_j F_j^T, |v_j|^2 F_j,
-    v_j . F_j, (v_j . F_j) v_j}.
+      U_i = -B sum_j w_j [ |z|^2 dF - (z . dF) z ].
+    U reads only differences, so v and F enter it centered at their weighted
+    means, where sum_j w_j v_j = sum_j w_j F_j = 0; with a = |v|^2, c = v . F,
+    m0 = sum_j w_j, m2 = sum_j w_j a_j, M = sum_j w_j v_j v_j^T and
+    G = sum_j w_j v_j F_j^T, every |z|^2 / z x z factor expands into
+      U_i = -B [(m0 a_i + m2) F_i - F_i M + v_i (2 G - G^T)
+                - (m0 c_i + sum_j w_j c_j) v_i
+                - sum_j w_j a_j F_j + sum_j w_j c_j v_j].
+    Uncentered, the moments cancel for an ensemble far from the origin.
     """
+    v, f = _centered(v, w, f)
     a = np.einsum("id,id->i", v, v)
+    c = np.einsum("id,id->i", v, f)
     m0 = float(np.sum(w))
-    m1 = w @ v
-    m2 = float(np.sum(w * a))
     mvv = v.T @ (w[:, None] * v)
-    g0 = w @ f
     gvf = v.T @ (w[:, None] * f)  # gvf[a, b] = sum w v_a F_b
-    g2 = (w * a) @ f
-    vdotf = np.einsum("id,id->i", v, f)
-    gdot = float(np.sum(w * vdotf))
-    gvdot = (w * vdotf) @ v
-    s = a * m0 - 2.0 * (v @ m1) + m2
-    bmat = a[:, None] * g0[None, :] - 2.0 * (v @ gvf) + g2[None, :]
-    zf = (
-        m0 * vdotf[:, None] * v
-        - (f @ m1)[:, None] * v
-        - vdotf[:, None] * m1[None, :]
-        + f @ mvv
-    )
-    c2s = (v @ g0)[:, None] * v - gdot * v - v @ gvf.T + gvdot[None, :]
-    return -prefactor * (s[:, None] * f - bmat - zf + c2s)
+    u = (m0 * a + float(w @ a))[:, None] * f - f @ mvv + v @ (2.0 * gvf - gvf.T)
+    u -= (m0 * c + float(w @ c))[:, None] * v
+    u -= (w * a) @ f - (w * c) @ v
+    return -prefactor * u
 
 
 def min_pair_distance(ens):

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import Z_FLOOR
+from .kernels import Z_FLOOR, mollifier_eval
 from .particles import velocity_field_direct
 
 _MAX_DEPTH = 48
@@ -254,10 +254,7 @@ class GaussianProvider:
         return (node_moments @ table)[None, :, :]
 
     def direct_sum(self, targets, sources, charges):
-        diff = targets[:, None, :] - sources[None, :, :]
-        psi = self.mol.norm_const * np.exp(
-            -np.einsum("tsd,tsd->ts", diff, diff) / (2.0 * self.mol.eps)
-        )
+        psi = mollifier_eval(targets[:, None, :] - sources[None, :, :], self.mol)
         return np.einsum("ts,cs->ct", psi, charges)[None, :, :]
 
 

@@ -302,6 +302,32 @@ def test_convergence_requires_three_resolutions():
         convergence_study("bkw2d", [40, 60])
 
 
+def _no_run(cfg, **kwargs):
+    raise AssertionError("a simulation started")
+
+
+@pytest.mark.parametrize("name,n_list", [("bkw2d", [40, 60, 60]), ("maxwellian2d", [8, 10, 12])])
+def test_convergence_rejects_too_few_resolutions_before_running(monkeypatch, capsys,
+                                                                 name, n_list):
+    # three distinct resolutions give a closed-form preset three error rows,
+    # a self-referenced one (against its finest run) only two: no slope
+    monkeypatch.setattr(cli, "run", _no_run)
+    with pytest.raises(ValueError, match="resolutions"):
+        convergence_study(name, n_list)
+    n_arg = ",".join(map(str, n_list))
+    assert main(["convergence", "--preset", name, "--n", n_arg]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_convergence_self_reference_fits_every_norm():
+    # maxwellian2d has no closed form: the finest run is the reference, each
+    # blob is read on the coarsest grid, and the other three runs give the rows
+    rows, slopes = convergence_study("maxwellian2d", [8, 10, 12, 14])
+    assert [r["n"] for r in rows] == [8, 10, 12]
+    assert sorted(slopes) == ["rel_l1", "rel_l2", "rel_linf"]
+    assert all(np.isfinite(s) and s > 0 for s in slopes.values())
+
+
 def test_treecode_bench_smoke():
     rows = treecode_bench([6, 8], theta=0.5, order=4, leaf_capacity=32, repeats=1, seed=1)
     assert len(rows) == 2
@@ -396,6 +422,13 @@ def test_cli_rejects_bad_config(tmp_path):
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text("[simulation]\npreset = nope\n")
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_cli_reports_a_missing_config_file(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    assert main(["run", "--config", str(missing), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing.cfg" in err
 
 
 def test_cli_validate_passes_every_check(capsys):

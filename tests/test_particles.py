@@ -549,6 +549,20 @@ def test_velocity_field_tiled_matches_naive_under_cancellation(case, dim):
     assert np.allclose(fast, naive, rtol=1e-12, atol=1e-14)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_velocity_field_maxwell_matches_naive_far_from_origin(dim):
+    # the gamma = 0 moment path expands |z|^2 and z x z into global moments;
+    # taken about the origin they cancel at v ~ 1e3 (worst row 1.9e-9 of its
+    # norm in 2D, 7.5e-10 in 3D), about the weighted means they do not. A
+    # reassociated moment sum is compared row by row, each to its own size.
+    v, w, f = cancellation_ensemble("drift", 2 * PAIR_TILE + 37, dim, PAIR_TILE, seed=7)
+    spec = CollisionKernelSpec(gamma=0.0, prefactor=0.21, dim=dim)
+    fast = velocity_field_direct(ParticleEnsemble(v, w), f, spec)
+    naive = naive_velocity_field(v, w, f, spec.gamma, spec.prefactor)
+    err = np.linalg.norm(fast - naive, axis=1)
+    assert np.all(err <= 1e-11 * np.linalg.norm(naive, axis=1))
+
+
 @pytest.mark.parametrize("center", [0.0, 5.0])
 @pytest.mark.parametrize("sep", [1e-6, 1e-9])
 def test_velocity_field_close_pair_matches_naive(sep, center):
